@@ -137,17 +137,6 @@ class BarContext:
         self._rows[f] = out
         return out
 
-    def vector(self, f: tuple) -> FockVector:
-        return FockVector(self.window, dict(self.row(f)))
-
-
-def bar_monomial(window: Window, f: tuple) -> FockVector:
-    """bar(M_f) in the window, with out-of-window support projected away."""
-    if window.wedge is not None:
-        ctx = BarContext(window.extended())
-        return FockVector(window, wedge_bar_row(window, ctx, tuple(f)))
-    return BarContext(window).vector(tuple(f))
-
 
 def bar_row_rl(window: Window, f: tuple) -> dict:
     """Right-to-left variant of the recursion (prepends factors).
@@ -242,9 +231,6 @@ class BarTable:
     window: Window
     rows: dict  # f -> {g: Laurent}
 
-    def r(self, g: tuple, f: tuple) -> Laurent:
-        return self.rows.get(f, {}).get(g, ZERO)
-
     def check_unitriangular(self):
         bext = SignedSeq(self.window.extended_bits())
         for f, row in self.rows.items():
@@ -328,37 +314,25 @@ def bar_table(window: Window, fbox: int | None = None) -> BarTable:
 
 
 def equivariance_defect(ctx: BarContext, f: tuple, a: int):
-    """Compare bar(E_a M_f) with E_a bar(M_f); None when they agree.
+    """Compare bar(X M_f) with X bar(M_f) for X = E_a, then F_a.
 
-    Exact whenever |a| + 1 < k, since then E_a commutes with the window
-    projection.
+    Returns the first differing (lhs, rhs), or None when both agree.
+    Exact whenever |a| + 1 < k, since then E_a and F_a commute with the
+    window projection.
     """
     win = ctx.window
-    moved = _act_raw(win, {tuple(f): ONE}, "E", a, project=True)
-    lhs: dict = {}
-    for h, c in moved.items():
-        cb = c.bar()
-        for g, r in ctx.row(h).items():
-            s = lhs.get(g, ZERO) + r * cb
-            if s:
-                lhs[g] = s
-            else:
-                lhs.pop(g, None)
-    rhs = _act_raw(win, ctx.row(tuple(f)), "E", a, project=True)
-    if lhs != rhs:
-        return (lhs, rhs)
-    # F side
-    moved = _act_raw(win, {tuple(f): ONE}, "F", a, project=True)
-    lhs = {}
-    for h, c in moved.items():
-        cb = c.bar()
-        for g, r in ctx.row(h).items():
-            s = lhs.get(g, ZERO) + r * cb
-            if s:
-                lhs[g] = s
-            else:
-                lhs.pop(g, None)
-    rhs = _act_raw(win, ctx.row(tuple(f)), "F", a, project=True)
-    if lhs != rhs:
-        return (lhs, rhs)
+    for kind in ("E", "F"):
+        moved = _act_raw(win, {tuple(f): ONE}, kind, a, project=True)
+        lhs: dict = {}
+        for h, c in moved.items():
+            cb = c.bar()
+            for g, r in ctx.row(h).items():
+                s = lhs.get(g, ZERO) + r * cb
+                if s:
+                    lhs[g] = s
+                else:
+                    lhs.pop(g, None)
+        rhs = _act_raw(win, ctx.row(tuple(f)), kind, a, project=True)
+        if lhs != rhs:
+            return (lhs, rhs)
     return None

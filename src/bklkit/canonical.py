@@ -25,7 +25,7 @@ from .combinat import (
     f_U,
     natural_bij,
 )
-from .fock import Window, _weight_classes
+from .fock import Window, _perms_by_length, _weight_classes
 from .scalars import DegreeClass, Laurent, ONE, ZERO
 
 CANONICAL = "canonical"
@@ -96,30 +96,19 @@ class BklEngine:
     def candidates(self, f: tuple) -> list:
         """Down-set of f inside the window, f first, in a linear extension.
 
-        Sorted by a strictly order-monotone statistic (the total of all
-        sharp values over the scanned grid), descending, so every element
-        appears after everything above it.
+        The total of all sharp values over a grid of levels a in [lo, hi]
+        covering the down-set, sum_{a,j} sharp(g, a, j), is strictly
+        order-monotone.  It equals (hi+1) sum_i (i+1) s_i - sum_i (i+1) s_i g_i
+        with s_i = (-1)^{b_i} (0-based i), so sorting by the linear part
+        sum_i (i+1) s_i g_i, ascending, puts every element after everything
+        above it.
         """
         cls = _weight_classes(self.window).get(self.window.signature(f))
         if cls is None or f not in cls:
             raise ValueError(f"index {f} not in window {self.window}")
         down = [g for g in cls if g == f or bruhat_leq(self.bext, g, f)]
-        bits = self.bext.bits
-        lo = min(min(g) for g in down) - 1
-        hi = max(max(g) for g in down)
-
-        def dkey(g):
-            tot = 0
-            p = len(bits)
-            for a in range(lo, hi + 1):
-                s = 0
-                for j in range(p - 1, -1, -1):
-                    if g[j] <= a:
-                        s += -1 if bits[j] else 1
-                    tot += s
-            return tot
-
-        return sorted(down, key=lambda g: (-dkey(g), g))
+        wts = [(i + 1) * (-1 if bit else 1) for i, bit in enumerate(self.bext.bits)]
+        return sorted(down, key=lambda g: (sum(w * v for w, v in zip(wts, g)), g))
 
     def column(self, f: tuple, kind: str, order=None) -> BklColumn:
         f = tuple(f)
@@ -231,73 +220,9 @@ def wedge_bkl_partition(
     return wedge_bkl(b, idx.side, kw, flat, kind, k=k)
 
 
-def lusztig_solve(table, kind: str) -> "BklTable":
-    """Triangular solve against an explicit bar table.
-
-    Same algorithm as the engine columns, driven purely by the rows the
-    table carries; exists so a stored/serialized table can be solved
-    without recomputing the bar map.
-    """
-    from .barinv import BarTable as _BarTable
-
-    if not isinstance(table, _BarTable):
-        raise TypeError("expected a BarTable")
-    window = table.window
-    bext = SignedSeq(window.extended_bits())
-    entries: dict = {}
-    bits = bext.bits
-    for f in table.rows:
-        cands = [g for g in table.rows if g == f or bruhat_leq(bext, g, f)]
-        lo = min(min(g) for g in cands) - 1
-        hi = max(max(g) for g in cands)
-
-        def dkey(g):
-            tot = 0
-            p = len(bits)
-            for a in range(lo, hi + 1):
-                s = 0
-                for j in range(p - 1, -1, -1):
-                    if g[j] <= a:
-                        s += -1 if bits[j] else 1
-                    tot += s
-            return tot
-
-        cands.sort(key=lambda g: (-dkey(g), g))
-        solved = {f: ONE}
-        for g in cands:
-            if g == f:
-                continue
-            s = ZERO
-            for h, th in solved.items():
-                rgh = table.rows[h].get(g)
-                if rgh is not None:
-                    s = s + rgh * th.bar()
-            if not s:
-                continue
-            if not s.is_antisymmetric():
-                raise TriangularityError(f"inconsistent bar data at g={g}, f={f}")
-            val = s.pos_part() if kind == CANONICAL else s.neg_part()
-            if val:
-                solved[g] = val
-                entries[(g, f)] = val
-    return BklTable(window, kind, entries)
-
-
 # ---------------------------------------------------------------------------
 # Tensor versus q-wedge comparisons
 # ---------------------------------------------------------------------------
-
-
-def _perms(k: int):
-    import itertools
-
-    return list(itertools.permutations(range(k)))
-
-
-def _inv_count(p) -> int:
-    return sum(
-        1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
-    )
 
 
 def tensor_to_wedge_canonical(
@@ -317,12 +242,12 @@ def tensor_to_wedge_canonical(
     col = engine(ext).column(f_w0, CANONICAL)
     lw0 = kw * (kw - 1) // 2
     total = ZERO
-    for tau in _perms(kw):
+    for tau, (length, _, _) in _perms_by_length(kw).items():
         gt = f[:0] + g[:mn] + tuple(g[mn + tau[i]] for i in range(kw))
         c = col.entries.get(gt)
         if c is None:
             continue
-        e = lw0 - _inv_count(tau)  # l(w0 tau)
+        e = lw0 - length  # l(w0 tau)
         total = total + c * Laurent({e: (-1) ** (e % 2)})
     direct = engine(wwin).column(tuple(f), CANONICAL).entries.get(tuple(g), ZERO)
     if total != direct:
@@ -415,68 +340,6 @@ def _pair_kind(b: SignedSeq, kappa: int) -> str:
     if b.bits[kappa - 1] == 1 and b.bits[kappa] == 0:
         return "WV"
     raise ValueError(f"no mixed pair at position {kappa} of {b}")
-
-
-def basis_change_NU(b: SignedSeq, kappa: int, v, direction: str):
-    """Rewrite a FockVector between M- and N/U-coordinates at a mixed pair.
-
-    direction is one of "M->N", "N->M", "M->U", "U->M".  The N -> M
-    direction expands a window-truncated geometric series; the others are
-    finite.  Coefficient dicts are reinterpreted in place (the underlying
-    window does not change).
-    """
-    from .fock import FockVector
-
-    kind = _pair_kind(b, kappa)
-    up = 1 if kind == "VW" else -1
-    k = v.window.k
-    if direction == "M->N":
-        return FockVector(v.window, column_to_parabolic(v.terms, kappa, kind, "N", k))
-    if direction == "M->U":
-        return FockVector(v.window, column_to_parabolic(v.terms, kappa, kind, "U", k))
-    out: dict = {}
-
-    def add(h, c):
-        s = out.get(h, ZERO) + c
-        if s:
-            out[h] = s
-        else:
-            out.pop(h, None)
-
-    if direction == "N->M":
-        for h, c in v.terms.items():
-            add(h, c)
-            if _tied(h, kappa):
-                t = 1
-                g = _bump(h, kappa, -up)
-                while max(abs(x) for x in g) <= k:
-                    add(g, c * Laurent({-t: (-1) ** (t % 2)}))
-                    t += 1
-                    g = _bump(g, kappa, -up)
-        return FockVector(v.window, out)
-    if direction == "U->M":
-        for h, c in v.terms.items():
-            add(h, c)
-            if _tied(h, kappa):
-                g = _bump(h, kappa, -up)
-                if max(abs(x) for x in g) <= k:
-                    add(g, c * Laurent({1: 1}))
-        return FockVector(v.window, out)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def check_parabolic_bases(b: SignedSeq, kappa: int, k: int, box: int = 1) -> dict:
-    """Degree classes and refined support of every N/U column in a box.
-
-    Returns a small report; violations raise.
-    """
-    from itertools import product as _product
-
-    n_cols = 0
-    for f in _product(range(-box, box + 1), repeat=len(b)):
-        parabolic_columns(b, kappa, f, k=k)
-        n_cols += 1
-    return {"b": str(b), "kappa": kappa, "window": k, "columns": n_cols, "ok": True}
 
 
 def parabolic_columns(
@@ -574,32 +437,22 @@ def superduality_compare(
     fidx: WedgeIndex,
     gidx: WedgeIndex,
     kind: str,
-    k: int | None = None,
+    kw: int,
+    k: int,
 ) -> tuple:
     """Both-sides BKL entries under the tail-conjugating bijection.
 
-    Returns (value_V_side, value_W_side); raises if they differ.  The two
-    truncation levels are matched so that every involved partition fits.
+    Returns (value_V_side, value_W_side); raises if they differ.  Both
+    sides are truncated at tail length kw, which every involved partition
+    and its conjugate must fit, and computed in windows of level k.
     """
     if fidx.side != "V" or gidx.side != "V":
         raise ValueError("compare from the V side; the W side is derived")
     fn, gn = natural_bij(fidx), natural_bij(gidx)
-    kwv = max(len(fidx.parts), len(gidx.parts), 1)
-    kww = max(len(fn.parts), len(gn.parts), 1)
-    fv, gv = fidx.flat(kwv), gidx.flat(kwv)
-    fw, gw = fn.flat(kww), gn.flat(kww)
-    if k is None:
-        spread = max(
-            max((abs(v) for v in fv), default=0),
-            max((abs(v) for v in gv), default=0),
-            max((abs(v) for v in fw), default=0),
-            max((abs(v) for v in gw), default=0),
-        )
-        k = spread + len(b) + WINDOW_MARGIN
-    colv = wedge_bkl(b, "V", kwv, fv, kind, k=k)
-    colw = wedge_bkl(b, "W", kww, fw, kind, k=k)
-    lhs = colv.entries.get(gv, ZERO)
-    rhs = colw.entries.get(gw, ZERO)
+    colv = wedge_bkl(b, "V", kw, fidx.flat(kw), kind, k=k)
+    colw = wedge_bkl(b, "W", kw, fn.flat(kw), kind, k=k)
+    lhs = colv.entries.get(gidx.flat(kw), ZERO)
+    rhs = colw.entries.get(gn.flat(kw), ZERO)
     if lhs != rhs:
         raise AssertionError(
             f"super duality mismatch ({kind}) at g={gidx}, f={fidx}: {lhs!r} != {rhs!r}"

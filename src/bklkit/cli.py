@@ -153,10 +153,18 @@ def cmd_bkl(args) -> int:
         wedge=wspec,
     )
     root = cachemod.cache_dir(args.cache_dir)
-    payload_bytes = None
+    payload = None
     if not args.no_cache:
         payload_bytes = cachemod.load(root, key)
-    if payload_bytes is None:
+        if payload_bytes is not None:
+            # an undecodable entry or one without a column is a miss
+            try:
+                payload = json.loads(payload_bytes)
+            except ValueError:
+                pass
+            if not isinstance(payload, dict) or "column" not in payload:
+                payload = None
+    if payload is None:
         if wspec is None:
             col = bkl(b, flat, kind, k=args.window)
         else:
@@ -165,7 +173,7 @@ def cmd_bkl(args) -> int:
         payload_bytes = json.dumps(payload, sort_keys=True).encode()
         if not args.no_cache:
             cachemod.store(root, key, payload_bytes)
-    payload = json.loads(payload_bytes)
+        payload = json.loads(payload_bytes)
     print(_render_column(payload, args.format, args.at_q1))
     return 0
 

@@ -196,15 +196,8 @@ def interval(b: SignedSeq, g: Weight, f: Weight) -> list:
     bits = b.bits
     avals = list(range(-bound - 1, bound + 1))
 
-    def suffix_sharp(h: Weight, j: int):
-        # sharp(h, a, j) for every scanned a, as a list
-        return [
-            sum((-1 if bits[i] else 1) for i in range(j - 1, p) if h[i] <= a)
-            for a in avals
-        ]
-
-    sg = [None] + [suffix_sharp(g, j) for j in range(1, p + 1)]
-    sf = [None] + [suffix_sharp(f, j) for j in range(1, p + 1)]
+    sg = [None] + [[sharp(b, g, a, j) for a in avals] for j in range(1, p + 1)]
+    sf = [None] + [[sharp(b, f, a, j) for a in avals] for j in range(1, p + 1)]
 
     results = []
     suffix: list = []
@@ -233,11 +226,6 @@ def interval(b: SignedSeq, g: Weight, f: Weight) -> list:
 
     recurse(p, [0] * len(avals))
     return results
-
-
-def shift_one(b: SignedSeq) -> Weight:
-    """The all-ones shift vector (sum of (-1)^{b_i} d_i is (1,...,1))."""
-    return (1,) * len(b)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +265,6 @@ def f_to_weight(b: SignedSeq, f: Weight) -> Weight:
     return tuple(
         f[i] * (-1 if b.bits[i] else 1) - rho[i] for i in range(len(b))
     )
-
-
-def supertrace_weight(b: SignedSeq) -> Weight:
-    """The supertrace direction in b-ordered coordinates: (-1)^{b_i}."""
-    return tuple((-1 if bit else 1) for bit in b.bits)
 
 
 # ---------------------------------------------------------------------------

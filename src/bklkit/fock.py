@@ -303,23 +303,6 @@ def _act_raw(window: Window, terms: dict, kind: str, a: int, project: bool) -> d
     return out
 
 
-@dataclass(frozen=True)
-class ChevalleyGen:
-    """E_a, F_a, K_a or K_a^{-1}, with an optional divided power."""
-
-    kind: str  # "E" | "F" | "K" | "Kinv"
-    a: int
-    r: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("E", "F", "K", "Kinv"):
-            raise ValueError(f"unknown generator kind {self.kind}")
-        if self.kind in ("K", "Kinv") and self.r != 1:
-            raise ValueError("K has no divided powers")
-        if self.r < 1:
-            raise ValueError("divided power must be positive")
-
-
 def apply_gen(
     v: FockVector, kind: str, a: int, r: int = 1, project: bool = False
 ) -> FockVector:
@@ -328,7 +311,10 @@ def apply_gen(
     Divided powers are computed as r-fold products divided exactly by [r]!;
     a failure to divide is a hard error, not a silent rational.
     """
-    ChevalleyGen(kind, a, r)  # validates
+    if kind not in ("E", "F", "K", "Kinv"):
+        raise ValueError(f"unknown generator kind {kind}")
+    if r < 1 or kind in ("K", "Kinv") and r != 1:
+        raise ValueError(f"no divided power {r} of {kind}")
     terms = v.terms
     for _ in range(r):
         terms = _act_raw(v.window, terms, kind, a, project)
@@ -336,10 +322,6 @@ def apply_gen(
         fact = gauss_fact(r)
         terms = {f: c.divexact(fact) for f, c in terms.items()}
     return FockVector(v.window, terms)
-
-
-def act(gen: ChevalleyGen, v: FockVector, project: bool = False) -> FockVector:
-    return apply_gen(v, gen.kind, gen.a, r=gen.r, project=project)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +413,6 @@ def h0_apply(v: FockVector, block_start: int, kw: int) -> FockVector:
     return FockVector(w, total)
 
 
-def h0_symmetrize(v: FockVector) -> FockVector:
-    """H_0 on the trailing pure block of a tensor window (whole window if pure)."""
-    w = v.window
-    bits = w.b.bits
-    if not bits:
-        return v
-    last = bits[-1]
-    start = len(bits)
-    while start > 0 and bits[start - 1] == last:
-        start -= 1
-    return h0_apply(v, start, len(bits) - start)
-
-
 def wedge_embed(wwin: Window, idx: tuple) -> FockVector:
     """Embed a wedge basis vector into the extended tensor window.
 
@@ -478,35 +447,3 @@ def wedge_project(v: FockVector, wwin: Window) -> FockVector:
         if ok:
             out[f] = c
     return FockVector(wwin, out)
-
-
-def wedge_act(v: FockVector, kind: str, a: int, r: int = 1, project: bool = False) -> FockVector:
-    """Chevalley action on a wedge window (alias of apply_gen, for clarity)."""
-    return apply_gen(v, kind, a, r=r, project=project)
-
-
-def truncate_wedge_index(idx, kw: int):
-    """Finite kw-prefix of a partition-tailed index, or None if killed.
-
-    The index survives exactly when its tail is the vacuum beyond kw,
-    i.e. the partition has at most kw parts.
-    """
-    from .combinat import WedgeIndex
-
-    if not isinstance(idx, WedgeIndex):
-        raise TypeError("expected a WedgeIndex")
-    if len(idx.parts) > kw:
-        return None
-    return idx.flat(kw)
-
-
-def truncate_wedge(vec: dict, side: str, kw: int, window: Window) -> FockVector:
-    """Truncate a sparse map {WedgeIndex: Laurent} to a finite wedge window."""
-    if window.wedge is None or window.wedge[0] != side or window.wedge[1] != kw:
-        raise ValueError("window does not match the requested truncation")
-    out: dict = {}
-    for idx, c in vec.items():
-        flat = truncate_wedge_index(idx, kw) if len(idx.parts) <= kw else None
-        if flat is not None and c:
-            out[flat] = out.get(flat, ZERO) + c
-    return FockVector(window, {f: c for f, c in out.items() if c})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from operator import index
 
 
 class DegreeClass(Enum):
@@ -44,7 +45,8 @@ class Laurent:
         elif isinstance(coeffs, int):
             self.c = {0: coeffs} if coeffs else {}
         else:
-            self.c = {int(e): int(v) for e, v in dict(coeffs).items() if v}
+            # operator.index: a float exponent or coefficient is a TypeError
+            self.c = _norm({index(e): index(v) for e, v in dict(coeffs).items()})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -203,7 +205,7 @@ class Laurent:
 
     @classmethod
     def from_json(cls, data: dict) -> "Laurent":
-        return cls({int(e): int(v) for e, v in data.items()})
+        return cls({int(e): v for e, v in data.items()})
 
 
 def _polydivmod_int(num: list, den: list):
@@ -439,9 +441,6 @@ class RationalQ:
 
     def bar(self) -> "RationalQ":
         return RationalQ(self.num.bar(), self.den.bar())
-
-    def is_laurent(self) -> bool:
-        return set(self.den.c) == {0} and abs(self.den.c[0]) == 1 or self._try() is not None
 
     def _try(self):
         try:

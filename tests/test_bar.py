@@ -5,7 +5,6 @@ from itertools import permutations, product
 from bklkit.barinv import (
     BarContext,
     BarTable,
-    bar_monomial,
     bar_row_rl,
     bar_table,
     equivariance_defect,
@@ -156,13 +155,6 @@ def test_strict_descent():
         for f in Window(b, 2).basis():
             for g in ctx.row(f):
                 assert g == f or bruhat_leq(b, g, f)
-
-
-def test_bar_monomial_public():
-    win = Window(SignedSeq.parse("01"), 3)
-    v = bar_monomial(win, (1, 1))
-    assert v.coeff((1, 1)) == ONE
-    assert v.coeff((0, 0)) == Z_QMQINV
 
 
 def test_wedge_bar_vacuum_reduces_to_tensor():

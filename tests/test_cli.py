@@ -63,6 +63,20 @@ def test_bkl_cache_roundtrip(capsys, tmp_path):
     assert payload == json.loads(out1)
 
 
+def test_bkl_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
+    args = ("bkl", "--seq", "01", "--f", "2,2", "--kind", "dual", "--window", "4",
+            "--cache-dir", str(tmp_path))
+    code1, out1, _ = run(capsys, *args)
+    (path,) = tmp_path.rglob("*.json")
+    good = path.read_bytes()
+    for bad in (good[: len(good) // 2], b"\xff\xfe", b'{"kind": "dual"}'):
+        path.write_bytes(bad)
+        code2, out2, err2 = run(capsys, *args)
+        assert (code1, code2) == (0, 0), err2
+        assert out2 == out1
+        assert path.read_bytes() == good  # recomputed and rewritten
+
+
 def test_bkl_no_cache(capsys, tmp_path):
     code, _, _ = run(
         capsys, "bkl", "--seq", "01", "--f", "1,1", "--no-cache",

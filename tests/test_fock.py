@@ -4,17 +4,14 @@ from itertools import product
 
 import pytest
 
-from bklkit.combinat import SignedSeq, WedgeIndex
+from bklkit.combinat import SignedSeq
 from bklkit.fock import (
     FockVector,
     Window,
     WindowOverflowError,
     apply_gen,
     h0_apply,
-    h0_symmetrize,
     hecke_act,
-    truncate_wedge,
-    truncate_wedge_index,
     wedge_embed,
     wedge_project,
 )
@@ -160,12 +157,12 @@ def test_h0_image_is_eigen():
     for kw in (2, 3):
         w = Window(SignedSeq((0,) * kw), 2)
         for f in product(range(-1, 2), repeat=kw):
-            v = h0_symmetrize(mono(w, f))
+            v = h0_apply(mono(w, f), 0, kw)
             for i in range(1, kw):
                 assert hecke_act(v, i) == v.scale(minus_q), (f, i)
     # q^-1-fixed monomials are killed, matching v ^ v = 0
     w = Window(SignedSeq((1, 1)), 2)
-    assert not h0_symmetrize(mono(w, (1, 1)))
+    assert not h0_apply(mono(w, (1, 1)), 0, 2)
 
 
 def test_h0_bar_invariance():
@@ -239,19 +236,6 @@ def test_wedge_action_example():
     assert not out
 
 
-def test_truncate_wedge():
-    assert truncate_wedge_index(WedgeIndex((), "V", ()), 2) == (0, -1)
-    assert truncate_wedge_index(WedgeIndex((), "V", (2, 1)), 1) is None
-    assert truncate_wedge_index(WedgeIndex((), "V", (3,)), 1) == (3,)
-    win = Window(SignedSeq.parse(""), 4, ("V", 1))
-    vec = {
-        WedgeIndex((), "V", (3,)): ONE,
-        WedgeIndex((), "V", (2, 1)): q_power(2),
-    }
-    out = truncate_wedge(vec, "V", 1, win)
-    assert out.terms == {(3,): ONE}
-
-
 def test_fockvector_json():
     w = Window(SignedSeq.parse("0101"), 4, ("V", 2))
     v = mono(w, (2, 2, 0, 0) + (3, 1))
@@ -271,13 +255,12 @@ def test_window_basis_and_classes():
 
 
 def test_chevalley_gen_dataclass():
-    from bklkit.fock import ChevalleyGen, act
-
     w = Window(SignedSeq.parse("0"), 3)
-    gen = ChevalleyGen("E", 1)
-    assert act(gen, mono(w, (2,))).terms == {(1,): ONE}
-    assert act(ChevalleyGen("E", 1, r=2), mono(w, (2,))).terms == {}
+    assert apply_gen(mono(w, (2,)), "E", 1).terms == {(1,): ONE}
+    assert apply_gen(mono(w, (2,)), "E", 1, r=2).terms == {}
     with pytest.raises(ValueError):
-        ChevalleyGen("K", 0, r=2)
+        apply_gen(mono(w, (0,)), "K", 0, r=2)
     with pytest.raises(ValueError):
-        ChevalleyGen("X", 0)
+        apply_gen(mono(w, (0,)), "E", 0, r=0)
+    with pytest.raises(ValueError):
+        apply_gen(mono(w, (0,)), "X", 0)

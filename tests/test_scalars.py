@@ -26,6 +26,15 @@ laurents = st.dictionaries(
 ).map(Laurent)
 
 
+def test_inexact_input_rejected():
+    for bad in ({0: 1.5}, {0.7: 2}, {1: 2.0}):
+        with pytest.raises(TypeError):
+            Laurent(bad)
+    with pytest.raises(TypeError):
+        Laurent.from_json({"0": 1.5})
+    assert Laurent.from_json({"-1": 3, "2": -1}) == Laurent({-1: 3, 2: -1})
+
+
 def test_add_examples():
     assert Q + QINV == Laurent({1: 1, -1: 1})
     assert Z_QMQINV + Laurent({-1: 1, 1: -1}) == ZERO
