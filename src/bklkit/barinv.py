@@ -7,13 +7,22 @@ correction collapses: bar(x (x) y_c) picks up, besides bar(x) (x) y_c, one
 term per admissible single move of the last index, weighted by
 (q - q^-1) times a root-vector operator applied to bar(x).
 
-The root vectors are iterated q^-1-commutators of Chevalley actions, with
-nesting ends mirrored between the two module types:
+The root vectors are iterated q^-1-commutators of Chevalley actions, and
+one routine, _nested, computes them all: it takes the action and the end
+from which an index is peeled, top or bottom.  The nesting ends mirror
+between the two module types:
 
-    last factor V, move c -> d (d > c):
+    last factor V, move c -> d (d > c), peel the top:
         R(c,d),  R(i,j) = R(i,j-1) E_{j-1} - q^-1 E_{j-1} R(i,j-1)
-    last factor W, move c -> d (d < c):
+    last factor W, move c -> d (d < c), peel the bottom:
         S(d,c),  S(i,j) = S(i+1,j) E_i - q^-1 E_i S(i+1,j)
+
+BarContext caches every bracket R(i,j) bar(M_prefix) and S(i,j)
+bar(M_prefix) it builds.  The second term of each recursion step is the
+bracket one index shorter applied to the same row, which the loop over
+moves asks for anyway, so it is read from that cache, not recomputed.
+The right-to-left recursion bar_row_rl prepends factors with the same
+routine on F actions, mirrored ends, and no cache.
 
 Both conventions were pinned against the Hecke-algebra bar on pure tensor
 blocks and the rank-2 closed forms, and are guarded by the involution,
@@ -25,19 +34,45 @@ from dataclasses import dataclass
 
 from .combinat import SignedSeq, bruhat_leq
 from .fock import FockVector, Window, _act_raw, h0_apply, wedge_project
-from .scalars import Laurent, ONE, QINV, ZERO, Z_QMQINV
+from .scalars import Laurent, ONE, Z_QMQINV, addmul
 
 
-def _sub_scaled(t1: dict, t2: dict, factor: Laurent) -> dict:
-    """t1 - factor * t2 on raw term dicts."""
-    out = dict(t1)
-    for f, c in t2.items():
-        s = out.get(f, ZERO) - c * factor
-        if s:
-            out[f] = s
-        else:
-            out.pop(f, None)
+_MINUS_QINV = Laurent({-1: -1})
+
+
+def _nested(act, i: int, j: int, terms: dict, top: bool, inner) -> dict:
+    """The iterated q^-1-commutator X(i,j) of act applied to raw terms.
+
+    act(terms, a) applies X_a.  X(i,i+1) = X_i, and one index is peeled
+    from the top end, X(i,j) = X(i,j-1) X_{j-1} - q^-1 X_{j-1} X(i,j-1),
+    or from the bottom, X(i,j) = X(i+1,j) X_i - q^-1 X_i X(i+1,j).
+    inner(i', j') returns the peeled X(i',j') applied to the same terms when
+    the caller already holds it (a cached bracket); with inner None it is
+    recomputed.
+    """
+    if not terms:
+        return {}
+    if j == i + 1:
+        return act(terms, i)
+    a, i2, j2 = (j - 1, i, j - 1) if top else (i, i + 1, j)
+    out = _nested(act, i2, j2, act(terms, a), top, None)
+    y = inner(i2, j2) if inner else _nested(act, i2, j2, terms, top, None)
+    if y:
+        for g, c in act(y, a).items():
+            addmul(out, g, c, _MINUS_QINV)
     return out
+
+
+def _add_moves(out: dict, c: int, k: int, up: bool, bracket, front: bool) -> None:
+    """Add the corrections of every single move c -> d of one index.
+
+    The moves go to every d in (c, k] when up, else to every d in [-k, c),
+    and each adds (q - q^-1) * bracket(min(c,d), max(c,d)), re-indexed with
+    d in front of (front) or behind the indices of the bracket.
+    """
+    for d in range(c + 1, k + 1) if up else range(-k, c):
+        for g, coef in bracket(min(c, d), max(c, d)).items():
+            addmul(out, (d,) + g if front else g + (d,), coef, Z_QMQINV)
 
 
 class BarContext:
@@ -60,42 +95,20 @@ class BarContext:
             self._prefix_windows[p] = w
         return w
 
-    def _e(self, p: int, terms: dict, a: int) -> dict:
-        if not terms:
-            return {}
-        return _act_raw(self._pwin(p), terms, "E", a, project=True)
-
-    def _rv(self, p: int, i: int, j: int, terms: dict) -> dict:
-        """R(i,j) applied to a raw vector over the length-p prefix."""
-        if not terms:
-            return {}
-        if j == i + 1:
-            return self._e(p, terms, i)
-        x = self._e(p, terms, j - 1)
-        t1 = self._rv(p, i, j - 1, x) if x else {}
-        y = self._rv(p, i, j - 1, terms)
-        t2 = self._e(p, y, j - 1) if y else {}
-        return _sub_scaled(t1, t2, QINV)
-
-    def _sw(self, p: int, i: int, j: int, terms: dict) -> dict:
-        """S(i,j) applied to a raw vector over the length-p prefix."""
-        if not terms:
-            return {}
-        if j == i + 1:
-            return self._e(p, terms, i)
-        x = self._e(p, terms, i)
-        t1 = self._sw(p, i + 1, j, x) if x else {}
-        y = self._sw(p, i + 1, j, terms)
-        t2 = self._e(p, y, i) if y else {}
-        return _sub_scaled(t1, t2, QINV)
-
-    def _bracket_app(self, side: str, i: int, j: int, prefix: tuple) -> dict:
-        key = (side, i, j, prefix)
+    def _bracket_app(self, up: bool, i: int, j: int, prefix: tuple) -> dict:
+        """R(i,j) (up, a V factor) or S(i,j) (a W factor) applied to bar(M_prefix)."""
+        key = (up, i, j, prefix)
         hit = self._bracket.get(key)
         if hit is None:
-            base = self.row(prefix)
-            p = len(prefix)
-            hit = self._rv(p, i, j, base) if side == "V" else self._sw(p, i, j, base)
+            win = self._pwin(len(prefix))
+
+            def act(terms, a):
+                return _act_raw(win, terms, "E", a, project=True)
+
+            def inner(i2, j2):
+                return self._bracket_app(up, i2, j2, prefix)
+
+            hit = _nested(act, i, j, self.row(prefix), up, inner)
             self._bracket[key] = hit
         return hit
 
@@ -111,29 +124,13 @@ class BarContext:
         if any(abs(v) > self.k for v in f):
             raise ValueError(f"index {f} not in window")
         prefix, c = f[:-1], f[-1]
-        base = self.row(prefix)
-        out: dict = {}
-        for g, coef in base.items():
-            out[g + (c,)] = coef
-        beta = self.bits[p - 1]
-        if beta == 0:
-            for d in range(c + 1, self.k + 1):
-                for g, coef in self._bracket_app("V", c, d, prefix).items():
-                    key = g + (d,)
-                    s = out.get(key, ZERO) + coef * Z_QMQINV
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        else:
-            for d in range(-self.k, c):
-                for g, coef in self._bracket_app("W", d, c, prefix).items():
-                    key = g + (d,)
-                    s = out.get(key, ZERO) + coef * Z_QMQINV
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+        out = {g + (c,): coef for g, coef in self.row(prefix).items()}
+        up = self.bits[p - 1] == 0
+
+        def bracket(i, j):
+            return self._bracket_app(up, i, j, prefix)
+
+        _add_moves(out, c, self.k, up, bracket, False)
         self._rows[f] = out
         return out
 
@@ -145,67 +142,29 @@ def bar_row_rl(window: Window, f: tuple) -> dict:
     """
     bits = window.b.bits
     k = window.k
-    f = tuple(f)
-
-    def suffix_window(p):
-        return Window(SignedSeq(bits[p:]), k)
-
-    def fop(p, terms, a):
-        if not terms:
-            return {}
-        return _act_raw(suffix_window(p), terms, "F", a, project=True)
-
-    def fbv(p, i, j, terms):
-        # first factor V: Fb(i,j) = Fb(i+1,j) F_i - q^-1 F_i Fb(i+1,j)
-        if not terms:
-            return {}
-        if j == i + 1:
-            return fop(p, terms, i)
-        x = fop(p, terms, i)
-        t1 = fbv(p, i + 1, j, x) if x else {}
-        y = fbv(p, i + 1, j, terms)
-        t2 = fop(p, y, i) if y else {}
-        return _sub_scaled(t1, t2, QINV)
-
-    def fbw(p, i, j, terms):
-        # first factor W: Fb(i,j) = Fb(i,j-1) F_{j-1} - q^-1 F_{j-1} Fb(i,j-1)
-        if not terms:
-            return {}
-        if j == i + 1:
-            return fop(p, terms, j - 1)
-        x = fop(p, terms, j - 1)
-        t1 = fbw(p, i, j - 1, x) if x else {}
-        y = fbw(p, i, j - 1, terms)
-        t2 = fop(p, y, j - 1) if y else {}
-        return _sub_scaled(t1, t2, QINV)
 
     def rec(p, fs):
         if not fs:
             return {(): ONE}
-        c, rest = fs[0], fs[1:]
-        base = rec(p + 1, rest)
+        c = fs[0]
+        base = rec(p + 1, fs[1:])
         out = {(c,) + g: coef for g, coef in base.items()}
-        if bits[p] == 0:
-            for d in range(-k, c):
-                for g, coef in fbv(p + 1, d, c, base).items():
-                    key = (d,) + g
-                    s = out.get(key, ZERO) + coef * Z_QMQINV
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        else:
-            for d in range(c + 1, k + 1):
-                for g, coef in fbw(p + 1, c, d, base).items():
-                    key = (d,) + g
-                    s = out.get(key, ZERO) + coef * Z_QMQINV
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+        # a W first factor moves up and peels the top of
+        # Fb(i,j) = Fb(i,j-1) F_{j-1} - q^-1 F_{j-1} Fb(i,j-1); a V first
+        # factor moves down and peels the bottom
+        up = bits[p] == 1
+        win = Window(SignedSeq(bits[p + 1 :]), k)
+
+        def act(terms, a):
+            return _act_raw(win, terms, "F", a, project=True)
+
+        def bracket(i, j):
+            return _nested(act, i, j, base, up, None)
+
+        _add_moves(out, c, k, up, bracket, True)
         return out
 
-    return rec(0, f)
+    return rec(0, tuple(f))
 
 
 def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
@@ -247,24 +206,34 @@ class BarTable:
         table holds all rows of the enclosing window (intervals of
         in-window pairs stay in the window).
         """
-        for f, row_f in self.rows.items():
-            acc: dict = {}
+        rows = self.rows
+        for f, row_f in rows.items():
+            acc: dict = {}  # g -> {exponent: coefficient}, integers only
             for h, rhf in row_f.items():
-                row_h = self.rows.get(h)
+                row_h = rows.get(h)
                 if row_h is None:
                     continue
-                bar_rhf = rhf.bar()
+                bar_rhf = [(-e, v) for e, v in rhf.c.items()]
                 for g, rgh in row_h.items():
-                    s = acc.get(g, ZERO) + rgh * bar_rhf
-                    if s:
-                        acc[g] = s
-                    else:
-                        acc.pop(g, None)
-            if acc.get(f) != ONE:
-                return (f, f, acc.get(f, ZERO))
-            for g, val in acc.items():
+                    d = acc.get(g)
+                    if d is None:
+                        d = acc[g] = {}
+                    for e1, v1 in rgh.c.items():
+                        for e2, v2 in bar_rhf:
+                            e = e1 + e2
+                            w = d.get(e, 0) + v1 * v2
+                            if w:
+                                d[e] = w
+                            else:
+                                del d[e]
+                    if not d:
+                        del acc[g]
+            diag = acc.get(f, {})
+            if diag != {0: 1}:
+                return (f, f, Laurent(_raw=diag))
+            for g, d in acc.items():
                 if g != f:
-                    return (g, f, val)
+                    return (g, f, Laurent(_raw=d))
         return None
 
     def to_json(self) -> dict:
@@ -327,11 +296,7 @@ def equivariance_defect(ctx: BarContext, f: tuple, a: int):
         for h, c in moved.items():
             cb = c.bar()
             for g, r in ctx.row(h).items():
-                s = lhs.get(g, ZERO) + r * cb
-                if s:
-                    lhs[g] = s
-                else:
-                    lhs.pop(g, None)
+                addmul(lhs, g, r, cb)
         rhs = _act_raw(win, ctx.row(tuple(f)), kind, a, project=True)
         if lhs != rhs:
             return (lhs, rhs)

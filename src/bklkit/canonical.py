@@ -26,7 +26,7 @@ from .combinat import (
     natural_bij,
 )
 from .fock import Window, _perms_by_length, _weight_classes
-from .scalars import DegreeClass, Laurent, ONE, ZERO
+from .scalars import DegreeClass, Laurent, ONE, ZERO, addmul
 
 CANONICAL = "canonical"
 DUAL = "dual"
@@ -304,12 +304,12 @@ def column_to_parabolic(
     if basis == "N":
         # M_h = N_h + q^-1 N_{h bumped down}; collect per N index
         for h, c in entries.items():
-            out[h] = out.get(h, ZERO) + c
+            addmul(out, h, c)
             if _tied(h, kappa):
                 hb = _bump(h, kappa, -up)
                 if max(abs(v) for v in hb) <= k:
-                    out[hb] = out.get(hb, ZERO) + c * Laurent({-1: 1})
-        return {h: c for h, c in out.items() if c}
+                    addmul(out, hb, c.shift(-1))
+        return out
     # basis == "U": solve m_h = u_h + q u_{h bumped up} down the tie chains.
     # Chains extend below the support to the window edge: a plain monomial
     # expands into a truncated geometric U-series, while honest canonical
@@ -328,7 +328,7 @@ def column_to_parabolic(
             hb = _bump(h, kappa, up)
             prev = out.get(hb)
             if prev is not None:
-                val = val - prev * Laurent({1: 1})
+                val = val - prev.shift(1)
         if val:
             out[h] = val
     return out

@@ -136,6 +136,11 @@ def cmd_bkl(args) -> int:
             raise UsageError(
                 f"--f must be '<{len(b)} tensor entries>/<{kw} tail entries>'"
             )
+        if any((x <= y) if side == "V" else (x >= y) for x, y in zip(tail, tail[1:])):
+            order = "decreasing" if side == "V" else "increasing"
+            raise UsageError(
+                f"{side} tail {','.join(map(str, tail))} is not strictly {order}"
+            )
         flat = head + tail
         wspec = {"side": side, "kw": kw}
     else:

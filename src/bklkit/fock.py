@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .combinat import SignedSeq, wt_signature
-from .scalars import Laurent, ONE, ZERO, gauss_fact, q_power
+from .scalars import Laurent, ONE, ZERO, addmul, gauss_fact
 
 
 class WindowOverflowError(ValueError):
@@ -124,11 +124,7 @@ class FockVector:
             raise ValueError("window mismatch")
         terms = dict(self.terms)
         for f, c in other.terms.items():
-            s = terms.get(f, ZERO) + c
-            if s:
-                terms[f] = s
-            else:
-                terms.pop(f, None)
+            addmul(terms, f, c)
         return FockVector(self.window, terms)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
@@ -175,131 +171,60 @@ class FockVector:
 # ---------------------------------------------------------------------------
 
 
-def _twist_contrib_E(bit: int, e: int, a: int) -> int:
-    # K_{a+1,a} exponent on a single slot
-    d = (1 if e == a + 1 else 0) - (1 if e == a else 0)
-    return d if bit == 0 else -d
-
-
-def _twist_contrib_F(bit: int, e: int, a: int) -> int:
-    # K_{a,a+1} exponent on a single slot
-    d = (1 if e == a else 0) - (1 if e == a + 1 else 0)
-    return d if bit == 0 else -d
-
-
 def _act_raw(window: Window, terms: dict, kind: str, a: int, project: bool) -> dict:
     """One application of E_a, F_a, K_a or K_a^-1 on raw term dicts."""
     bits = window.b.bits
     mn = window.tensor_len
     k = window.k
-    wedge = window.wedge
+    side = window.wedge[0] if window.wedge else None
+    b = a + 1
     out: dict = {}
+    if kind in ("K", "Kinv"):
+        sgn = 1 if kind == "K" else -1
+        tsgn = 1 if side == "V" else -1
+        for f, coef in terms.items():
+            expo = sum(-1 if bits[i] else 1 for i in range(mn) if f[i] == a)
+            expo += tsgn * f[mn:].count(a)
+            addmul(out, f, coef.shift(sgn * expo))
+        return out
 
-    def emit(f, c):
-        s = out.get(f, ZERO) + c
-        if s:
-            out[f] = s
-        else:
-            out.pop(f, None)
-
+    # src[bit] is the entry a slot of that type moves away from (to a + b -
+    # src): E lowers a V entry a+1 and raises a W entry a, F does the reverse.
+    # The twist K_{a+1,a} (for E) or K_{a,a+1} (for F) of one slot is +1 on a
+    # movable entry and -1 on the other value of {a, a+1}, whatever its type.
+    # E twists by the slots to the right of the acting one, so its pass runs
+    # right to left starting from the tail's twist; F twists by the slots to
+    # the left and acts on the tail with the twist of the whole head.
+    left = kind == "F"
+    src = (a, b) if left else (b, a)
+    tsrc = src[0 if side == "V" else 1]
+    slots = range(mn) if left else range(mn - 1, -1, -1)
     for f, coef in terms.items():
-        head, tail = f[:mn], f[mn:]
-        if kind in ("K", "Kinv"):
-            expo = 0
-            for i, e in enumerate(head):
-                d = 1 if e == a else 0
-                expo += d if bits[i] == 0 else -d
-            if wedge:
-                cnt = sum(1 for e in tail if e == a)
-                expo += cnt if wedge[0] == "V" else -cnt
-            if kind == "Kinv":
-                expo = -expo
-            emit(f, coef * q_power(expo))
-            continue
-
-        if kind == "E":
-            # suffix twists: suf[i] = sum of contributions of slots > i
-            suf = [0] * (mn + 1)
-            tail_tw = 0
-            if wedge:
-                for e in tail:
-                    tail_tw += _twist_contrib_E(0 if wedge[0] == "V" else 1, e, a)
-            suf[mn] = tail_tw
-            for i in range(mn - 1, -1, -1):
-                suf[i] = suf[i + 1] + _twist_contrib_E(bits[i], head[i], a)
-            for i in range(mn):
-                if bits[i] == 0 and head[i] == a + 1:
-                    new = a
-                elif bits[i] == 1 and head[i] == a:
-                    new = a + 1
-                else:
-                    continue
-                if abs(new) > k:
-                    if project:
-                        continue
-                    raise WindowOverflowError(f"E_{a} leaves window at slot {i}")
-                g = f[:i] + (new,) + f[i + 1 : mn] + tail
-                emit(g, coef * q_power(suf[i + 1]))
-            if wedge:
-                side = wedge[0]
-                for t, e in enumerate(tail):
-                    if side == "V" and e == a + 1:
-                        new = a
-                    elif side == "W" and e == a:
-                        new = a + 1
-                    else:
-                        continue
-                    if abs(new) > k:
-                        if project:
-                            continue
-                        raise WindowOverflowError(f"E_{a} leaves window in tail")
-                    nt = tail[:t] + (new,) + tail[t + 1 :]
-                    # E lowers a V entry / raises a W entry: check the next slot
-                    if side == "V" and (t + 1 < len(nt) and nt[t] <= nt[t + 1]):
-                        continue  # repeated entry: wedge term vanishes
-                    if side == "W" and (t + 1 < len(nt) and nt[t] >= nt[t + 1]):
-                        continue
-                    emit(head + nt, coef)
-            continue
-
-        # kind == "F"
-        pre = [0] * (mn + 1)
-        for i in range(mn):
-            pre[i + 1] = pre[i] + _twist_contrib_F(bits[i], head[i], a)
-        for i in range(mn):
-            if bits[i] == 0 and head[i] == a:
-                new = a + 1
-            elif bits[i] == 1 and head[i] == a + 1:
-                new = a
-            else:
+        tail = f[mn:]
+        tw = 0
+        if side and not left:
+            tw = tail.count(tsrc) - tail.count(a + b - tsrc)
+        for i in slots:
+            e = f[i]
+            if e != a and e != b:
                 continue
+            if e != src[bits[i]]:
+                tw -= 1
+                continue
+            new = a + b - e
+            if abs(new) <= k:
+                addmul(out, f[:i] + (new,) + f[i + 1 :], coef.shift(tw))
+            elif not project:
+                raise WindowOverflowError(f"{kind}_{a} leaves window at slot {i}")
+            tw += 1
+        if side and tsrc in tail:
+            new = a + b - tsrc
             if abs(new) > k:
-                if project:
-                    continue
-                raise WindowOverflowError(f"F_{a} leaves window at slot {i}")
-            g = f[:i] + (new,) + f[i + 1 : mn] + tail
-            emit(g, coef * q_power(pre[i]))
-        if wedge:
-            side = wedge[0]
-            full_pre = pre[mn]
-            for t, e in enumerate(tail):
-                if side == "V" and e == a:
-                    new = a + 1
-                elif side == "W" and e == a + 1:
-                    new = a
-                else:
-                    continue
-                if abs(new) > k:
-                    if project:
-                        continue
-                    raise WindowOverflowError(f"F_{a} leaves window in tail")
-                nt = tail[:t] + (new,) + tail[t + 1 :]
-                # F raises a V entry / lowers a W entry: check the previous slot
-                if side == "V" and (t > 0 and nt[t - 1] <= nt[t]):
-                    continue
-                if side == "W" and (t > 0 and nt[t - 1] >= nt[t]):
-                    continue
-                emit(head + nt, coef * q_power(full_pre))
+                if not project:
+                    raise WindowOverflowError(f"{kind}_{a} leaves window in tail")
+            elif new not in tail:  # a repeated entry: the wedge term vanishes
+                t = mn + tail.index(tsrc)
+                addmul(out, f[:t] + (new,) + f[t + 1 :], coef.shift(tw if left else 0))
     return out
 
 
@@ -335,25 +260,17 @@ def _hecke_raw(bits: tuple, terms: dict, i: int) -> dict:
         raise ValueError("Hecke generator needs two slots of equal type")
     vtype = bits[i] == 0
     out: dict = {}
-
-    def emit(f, c):
-        s = out.get(f, ZERO) + c
-        if s:
-            out[f] = s
-        else:
-            out.pop(f, None)
-
     zz = Laurent({1: -1, -1: 1})  # -(q - q^-1)
     for f, coef in terms.items():
         x, y = f[i], f[i + 1]
         swapped = f[:i] + (y, x) + f[i + 2 :]
         if x == y:
-            emit(f, coef * q_power(-1))
+            addmul(out, f, coef.shift(-1))
         elif (x < y) == vtype:
-            emit(swapped, coef)
+            addmul(out, swapped, coef)
         else:
-            emit(swapped, coef)
-            emit(f, coef * zz)
+            addmul(out, swapped, coef)
+            addmul(out, f, coef, zz)
     return out
 
 
@@ -403,13 +320,9 @@ def h0_apply(v: FockVector, block_start: int, kw: int) -> FockVector:
     for p, (l, parent, letter) in sorted(perms.items(), key=lambda kv: kv[1][0]):
         if parent is not None:
             vecs[p] = _hecke_raw(bits, vecs[parent], block_start + letter)
-        sign = q_power(l - lw0) * ((-1) ** ((l - lw0) % 2))
+        sign = Laurent(_raw={l - lw0: (-1) ** ((l - lw0) % 2)})
         for f, c in vecs[p].items():
-            s = total.get(f, ZERO) + c * sign
-            if s:
-                total[f] = s
-            else:
-                total.pop(f, None)
+            addmul(total, f, c, sign)
     return FockVector(w, total)
 
 

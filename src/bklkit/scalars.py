@@ -133,6 +133,12 @@ class Laurent:
             n >>= 1
         return out
 
+    def shift(self, e: int) -> "Laurent":
+        """Multiply by q^e; q^0 returns self."""
+        if not e:
+            return self
+        return Laurent(_raw={x + e: v for x, v in self.c.items()})
+
     # -- structure ----------------------------------------------------------
 
     def bar(self) -> "Laurent":
@@ -241,6 +247,43 @@ ONE = Laurent({0: 1})
 Q = Laurent({1: 1})
 QINV = Laurent({-1: 1})
 Z_QMQINV = Laurent({1: 1, -1: -1})  # q - q^-1
+
+
+def addmul(acc: dict, key, x: Laurent, y: Laurent | None = None) -> None:
+    """acc[key] += x*y (x alone when y is None); a zero sum drops the key.
+
+    The sum is a new Laurent: neither x, y nor the value already stored
+    under key is mutated, because bar rows and columns share coefficients.
+    """
+    old = acc.get(key)
+    if old is None:
+        if y is None:
+            if x.c:
+                acc[key] = x
+            return
+        c: dict = {}
+    else:
+        c = dict(old.c)
+    if y is None:
+        for e, v in x.c.items():
+            w = c.get(e, 0) + v
+            if w:
+                c[e] = w
+            else:
+                del c[e]
+    else:
+        for e1, v1 in x.c.items():
+            for e2, v2 in y.c.items():
+                e = e1 + e2
+                w = c.get(e, 0) + v1 * v2
+                if w:
+                    c[e] = w
+                else:
+                    del c[e]
+    if c:
+        acc[key] = Laurent(_raw=c)
+    else:
+        acc.pop(key, None)
 
 
 def q_power(n: int) -> Laurent:

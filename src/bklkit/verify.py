@@ -37,7 +37,7 @@ from .combinat import (
 )
 from .fock import Window, _act_raw
 from .oracle import brute_bar_uniqueness, rank2_forms, schur_jimbo_match
-from .scalars import DegreeClass, ONE, ZERO
+from .scalars import DegreeClass, ONE, addmul
 
 
 @dataclass
@@ -212,13 +212,8 @@ def _expand_in_canonical(eng: BklEngine, vec: dict):
         c = work.pop(top)
         coeffs[top] = c
         for g, t in eng.column(top, CANONICAL).entries.items():
-            if g == top:
-                continue
-            w = work.get(g, ZERO) - c * t
-            if w:
-                work[g] = w
-            else:
-                work.pop(g, None)
+            if g != top:
+                addmul(work, g, t, -c)
     return coeffs
 
 
@@ -269,11 +264,7 @@ def suite_positivity(max_rank: int = 4, max_window: int = 4) -> Suite:
                 vec = {}
                 for g, c in tcol.items():
                     for h, w in _act_raw(eng.window, {g: c}, "E", a, True).items():
-                        x = vec.get(h, ZERO) + w
-                        if x:
-                            vec[h] = x
-                        else:
-                            vec.pop(h, None)
+                        addmul(vec, h, w)
                 for g, c in _expand_in_canonical(eng, vec).items():
                     if any(v < 0 for v in c.c.values()):
                         raise AssertionError(

@@ -1,6 +1,11 @@
 """The windowed bar involution."""
+import hashlib
+import json
 import random
 from itertools import permutations, product
+from pathlib import Path
+
+import pytest
 
 from bklkit.barinv import (
     BarContext,
@@ -12,7 +17,7 @@ from bklkit.barinv import (
 )
 from bklkit.combinat import SignedSeq
 from bklkit.fock import FockVector, Window, hecke_act
-from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, q_power
+from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, q_power
 
 
 def tie_row(f, k, step):
@@ -227,3 +232,97 @@ def test_embedded_rank2_pair_with_spectators():
     # a genuinely generic index (no tie, pure parts sorted) is bar-fixed
     ctx = BarContext(Window(SignedSeq((0, 1, 0)), 4))
     assert ctx.row((-2, 3, 1)) == {(-2, 3, 1): ONE}
+
+
+def reference_involution_defect(rows):
+    """The involution check in plain Laurent arithmetic, as a witness."""
+    for f, row_f in rows.items():
+        acc = {}
+        for h, rhf in row_f.items():
+            if h not in rows:
+                continue
+            for g, rgh in rows[h].items():
+                s = acc.get(g, ZERO) + rgh * rhf.bar()
+                if s:
+                    acc[g] = s
+                else:
+                    acc.pop(g, None)
+        if acc.get(f) != ONE:
+            return (f, f, acc.get(f, ZERO))
+        for g, val in acc.items():
+            if g != f:
+                return (g, f, val)
+    return None
+
+
+Q_ONE_PLUS = Laurent({0: 1, 1: 1})
+
+
+def corrupted(table, f, g, value):
+    rows = {h: dict(row) for h, row in table.rows.items()}
+    rows[f][g] = value
+    return BarTable(table.window, rows)
+
+
+def test_involution_defect_reports_a_corrupt_diagonal():
+    t = bar_table(Window(SignedSeq.parse("01"), 2))
+    f = next(iter(t.rows))  # (-2, -2): its row is {f: 1}, and it is checked first
+    bad = corrupted(t, f, f, Q_ONE_PLUS)
+    assert bad.involution_defect() == (f, f, Laurent({1: 1, 0: 2, -1: 1}))
+    for f in [(0, 0), (2, 2), (1, -1)]:
+        bad = corrupted(t, f, f, Q_ONE_PLUS)
+        assert bad.involution_defect() == reference_involution_defect(bad.rows)
+        assert bad.involution_defect() is not None
+
+
+def test_involution_defect_reports_an_extra_off_diagonal_term():
+    t = bar_table(Window(SignedSeq.parse("01"), 2))
+    f = next(iter(t.rows))
+    g = (1, 2)  # bar-fixed: its row is {g: 1}
+    assert t.rows[g] == {g: ONE}
+    assert corrupted(t, f, g, ONE).involution_defect() == (g, f, Laurent(2))
+    t3 = bar_table(Window(SignedSeq.parse("010"), 1))
+    for f, g in [((1, 1, 0), (0, 0, 0)), ((0, 0, 1), (-1, 1, 1)), ((1, 0, -1), (0, 0, 0))]:
+        bad = corrupted(t3, f, g, Q)
+        got = bad.involution_defect()
+        assert got is not None and got == reference_involution_defect(bad.rows), (f, g)
+
+
+def test_check_unitriangular_rejects_a_non_lower_entry():
+    t = bar_table(Window(SignedSeq.parse("01"), 2))
+    f = next(iter(t.rows))
+    with pytest.raises(AssertionError, match="non-lower index"):
+        corrupted(t, f, (1, 2), ONE).check_unitriangular()
+    with pytest.raises(AssertionError, match="diagonal"):
+        corrupted(t, (0, 0), (0, 0), Q_ONE_PLUS).check_unitriangular()
+
+
+def digest_windows():
+    """Every tensor window with m+n <= 3 at k <= 3, then every wedge window
+    with m+n <= 2, kw <= 2 at k <= 2; keyed "b|k|side:kw"."""
+    for rank in range(1, 4):
+        for m in range(rank + 1):
+            for b in SignedSeq.all_sequences(m, rank - m):
+                for k in range(1, 4):
+                    yield f"{b}|{k}|", Window(b, k)
+    for rank in range(3):
+        for m in range(rank + 1):
+            for b in SignedSeq.all_sequences(m, rank - m):
+                for side in ("V", "W"):
+                    for kw in (1, 2):
+                        for k in (1, 2):
+                            yield f"{b}|{k}|{side}:{kw}", Window(b, k, (side, kw))
+
+
+def test_bar_tables_match_recorded_digests():
+    # sha256 of each table's sorted JSON, recorded before the bar kernel
+    # reused cached brackets, shifted twists and checked the involution in
+    # integers; any change in any coefficient of any row shows here
+    want = json.loads((Path(__file__).parent / "bar_table_digests.json").read_text())
+    got = {
+        key: hashlib.sha256(
+            json.dumps(bar_table(win).to_json(), sort_keys=True).encode()
+        ).hexdigest()
+        for key, win in digest_windows()
+    }
+    assert got == want

@@ -118,6 +118,18 @@ def test_bkl_wedge_finite(capsys, tmp_path):
     assert data["wedge"] == "V:2" and data["u"] == "3,1"
 
 
+def test_bkl_wedge_tail_not_strict(capsys, tmp_path):
+    for spec, f, tail in (("V:2", "1,1/0,0", "V tail 0,0"), ("V:2", "1,1/0,1", "V tail 0,1"),
+                          ("W:2", "1,1/1,0", "W tail 1,0"), ("W:3", "1,1/-1,0,0", "W tail -1,0,0")):
+        code, out, err = run(
+            capsys, "bkl", "--seq", "01", "--f", f, "--wedge", spec,
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2 and out == "", (spec, f, err)
+        assert tail in err and "strictly" in err and "Window(" not in err, err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bkl_wedge_partition(capsys, tmp_path):
     code, out, _ = run(
         capsys, "bkl", "--seq", "0", "--f", "1", "--wedge", "partition:V:2,1",

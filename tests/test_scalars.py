@@ -13,6 +13,7 @@ from bklkit.scalars import (
     ReductionError,
     ZERO,
     Z_QMQINV,
+    addmul,
     gauss_fact,
     gauss_int,
     laurent_gcd,
@@ -46,6 +47,50 @@ def test_mul_examples():
     assert Z_QMQINV * (Q + QINV) == Laurent({2: 1, -2: -1})
     two = gauss_int(2)
     assert two * two == Laurent({2: 1, 0: 2, -2: 1})
+
+
+def test_shift_examples():
+    p = Laurent({-1: 2, 3: -1})
+    assert p.shift(0) is p
+    assert p.shift(2) == Laurent({1: 2, 5: -1})
+    assert ZERO.shift(4) == ZERO
+
+
+@given(laurents, st.integers(min_value=-5, max_value=5), st.integers(min_value=-5, max_value=5))
+def test_shift_composes_and_matches_q_power(a, e1, e2):
+    assert a.shift(e1) == a * q_power(e1)
+    assert a.shift(e1).shift(e2) == a.shift(e1 + e2)
+
+
+def test_addmul_drops_a_cancelled_key():
+    acc = {"x": Laurent({0: 1, 1: 1}), "y": ONE}
+    addmul(acc, "x", Laurent({0: -1, 1: -1}))
+    assert acc == {"y": ONE}
+    addmul(acc, "y", Q, QINV * -1)  # 1 + q * (-q^-1) = 0
+    assert acc == {}
+    addmul(acc, "z", ZERO)
+    addmul(acc, "z", Q, ZERO)
+    assert acc == {}
+    addmul(acc, "z", Q, Z_QMQINV)
+    addmul(acc, "z", Q)
+    assert list(acc) == ["z"] and acc["z"] == Laurent({2: 1, 1: 1, 0: -1})
+
+
+@given(laurents, laurents, laurents)
+def test_addmul_never_mutates_its_inputs(stored, x, y):
+    snapshot = (dict(stored.c), dict(x.c), dict(y.c))
+    acc = {"k": stored} if stored else {}
+    addmul(acc, "k", x, y)
+    addmul(acc, "k", x)
+    assert (dict(stored.c), dict(x.c), dict(y.c)) == snapshot
+    want = stored + x * y + x
+    assert acc == ({"k": want} if want else {})
+    # an absent key with y None may store x itself: rows share coefficients
+    fresh = {}
+    addmul(fresh, "k", x)
+    addmul(fresh, "k", y)
+    assert dict(x.c) == snapshot[1]
+    assert fresh == ({"k": x + y} if x + y else {})
 
 
 def test_bar_examples():
