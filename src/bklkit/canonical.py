@@ -45,12 +45,6 @@ class BklColumn:
     kind: str
     entries: dict  # g -> Laurent, diagonal included
 
-    def coeff(self, g: tuple) -> Laurent:
-        return self.entries.get(tuple(g), ZERO)
-
-    def at_q1(self) -> dict:
-        return {g: c.ev(1) for g, c in self.entries.items()}
-
     def to_json(self) -> dict:
         mn = self.window.tensor_len
         wedge = self.window.wedge
@@ -117,29 +111,33 @@ class BklEngine:
         if hit is not None:
             return hit
         cands = self.candidates(f) if order is None else list(order)
-        solved: dict = {f: ONE}
+        want = DegreeClass.IN_qZq if kind == CANONICAL else DegreeClass.IN_qinvZqinv
+        # push-style solve: once t_g is known, its bar row adds r_hg bar(t_g)
+        # to the pending sum s_h of every h below it; t_f = 1 goes first, and
+        # the last index has no one left to push to, so its row is not built
+        todo = [f] + [g for g in cands if g != f]
         out: dict = {f: ONE}
-        for g in cands:
-            if g == f:
-                continue
-            s = ZERO
-            for h, th in solved.items():
-                rgh = self.bar_row(h).get(g)
-                if rgh is not None:
-                    s = s + rgh * th.bar()
-            if not s:
-                continue
-            if not s.is_antisymmetric():
-                raise TriangularityError(
-                    f"inconsistent bar data at g={g}, f={f}: s={s!r}"
-                )
-            val = s.pos_part() if kind == CANONICAL else s.neg_part()
-            want = DegreeClass.IN_qZq if kind == CANONICAL else DegreeClass.IN_qinvZqinv
-            if val and val.degree_class() is not want:
-                raise TriangularityError(f"degree class violated at g={g}, f={f}")
-            if val:
-                solved[g] = val
+        pending: dict = {}
+        for i, g in enumerate(todo):
+            if i:
+                s = pending.pop(g, None)
+                if s is None:
+                    continue
+                if not s.is_antisymmetric():
+                    raise TriangularityError(
+                        f"inconsistent bar data at g={g}, f={f}: s={s!r}"
+                    )
+                val = s.pos_part() if kind == CANONICAL else s.neg_part()
+                if not val:
+                    continue
+                if val.degree_class() is not want:
+                    raise TriangularityError(f"degree class violated at g={g}, f={f}")
                 out[g] = val
+            if i + 1 < len(todo):
+                vbar = out[g].bar()
+                for h, r in self.bar_row(g).items():
+                    if h != g:
+                        addmul(pending, h, r, vbar)
         col = BklColumn(self.window, f, kind, out)
         if order is None:
             self._columns[key] = col
@@ -182,14 +180,7 @@ def bkl(
     k = k if k is not None else auto_level(b, f)
     col = engine(Window(b, k)).column(f, kind)
     if check_stability:
-        bigger = engine(Window(b, k + 1)).column(f, kind)
-        safe = k
-        for g, c in col.entries.items():
-            if bigger.entries.get(g, ZERO) != c:
-                raise AssertionError(f"window instability at g={g} for f={f}")
-        for g, c in bigger.entries.items():
-            if max(abs(v) for v in g) <= safe and g not in col.entries:
-                raise AssertionError(f"window instability (missing {g}) for f={f}")
+        truncation_consistent_tensor(b, f, kind, k)
     return col
 
 
@@ -218,6 +209,19 @@ def wedge_bkl_partition(
     kw = kw if kw is not None else max(len(idx.parts), 1)
     flat = idx.flat(kw)
     return wedge_bkl(b, idx.side, kw, flat, kind, k=k)
+
+
+def _in_box(g: tuple, k: int) -> bool:
+    return all(abs(v) <= k for v in g)
+
+
+def _agree(a: dict, b: dict, keep, what: str) -> None:
+    """Raise at the first key kept by keep (None: all) where a and b differ."""
+    for g in [*a, *(g for g in b if g not in a)]:
+        if keep is None or keep(g):
+            x, y = a.get(g, ZERO), b.get(g, ZERO)
+            if x != y:
+                raise AssertionError(f"{what}: mismatch at g={g}: {x!r} != {y!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def column_to_parabolic(
             addmul(out, h, c)
             if _tied(h, kappa):
                 hb = _bump(h, kappa, -up)
-                if max(abs(v) for v in hb) <= k:
+                if _in_box(hb, k):
                     addmul(out, hb, c.shift(-1))
         return out
     # basis == "U": solve m_h = u_h + q u_{h bumped up} down the tie chains.
@@ -318,7 +322,7 @@ def column_to_parabolic(
     for h in entries:
         if _tied(h, kappa):
             g = _bump(h, kappa, -up)
-            while max(abs(v) for v in g) <= k:
+            while _in_box(g, k):
                 todo.add(g)
                 g = _bump(g, kappa, -up)
     order = sorted(todo, key=lambda h: -up * h[kappa - 1])
@@ -358,28 +362,19 @@ def parabolic_columns(
     tcol = eng.column(tuple(f), CANONICAL)
     lcheck = column_to_parabolic(lcol.entries, kappa, pair_kind, "N", k)
     tcheck = column_to_parabolic(tcol.entries, kappa, pair_kind, "U", k)
-    fwd = f_L if pair_kind == "VW" else f_U
-    dual_fwd = f_U if pair_kind == "VW" else f_L
-    safe = k - 1
-    for g, c in lcheck.items():
-        if g == tuple(f) or max(abs(v) for v in g) > safe:
-            continue
-        if c.degree_class() is not DegreeClass.IN_qinvZqinv:
-            raise TriangularityError(f"l-check degree at g={g}, f={f}: {c!r}")
-        if not (
-            bruhat_leq(b, g, tuple(f)) and bruhat_leq(bp, fwd(g, kappa), fwd(tuple(f), kappa))
-        ):
-            raise AssertionError(f"refined support violated (dual) at g={g}, f={f}")
-    for g, c in tcheck.items():
-        if g == tuple(f) or max(abs(v) for v in g) > safe:
-            continue
-        if c.degree_class() is not DegreeClass.IN_qZq:
-            raise TriangularityError(f"t-check degree at g={g}, f={f}: {c!r}")
-        if not (
-            bruhat_leq(b, g, tuple(f))
-            and bruhat_leq(bp, dual_fwd(g, kappa), dual_fwd(tuple(f), kappa))
-        ):
-            raise AssertionError(f"refined support violated (canonical) at g={g}, f={f}")
+    f = tuple(f)
+    vw = pair_kind == "VW"
+    for name, side, table, want, fwd in (
+        ("l-check", "dual", lcheck, DegreeClass.IN_qinvZqinv, f_L if vw else f_U),
+        ("t-check", "canonical", tcheck, DegreeClass.IN_qZq, f_U if vw else f_L),
+    ):
+        for g, c in table.items():
+            if g == f or not _in_box(g, k - 1):
+                continue
+            if c.degree_class() is not want:
+                raise TriangularityError(f"{name} degree at g={g}, f={f}: {c!r}")
+            if not (bruhat_leq(b, g, f) and bruhat_leq(bp, fwd(g, kappa), fwd(f, kappa))):
+                raise AssertionError(f"refined support violated ({side}) at g={g}, f={f}")
     return lcheck, tcheck
 
 
@@ -405,26 +400,15 @@ def adjacency_transport(
     fp = move(f, kappa)
     lcheck_p, tcheck_p = parabolic_columns(bp, kappa, fp, k)
     dst = lcheck_p if kind == DUAL else tcheck_p
-    safe = k - 1
-    for g, c in src.items():
-        gp = move(g, kappa)
-        if max(abs(v) for v in g) > safe or max(abs(v) for v in gp) > safe:
-            continue
-        if dst.get(gp, ZERO) != c:
-            raise AssertionError(
-                f"adjacency transport mismatch ({kind}) at g={g}->{gp}, f={f}->{fp}: "
-                f"{c!r} != {dst.get(gp, ZERO)!r}"
-            )
-    for gp, c in dst.items():
-        g = (f_U if kind == DUAL else f_L)(gp, kappa)
-        if max(abs(v) for v in g) > safe or max(abs(v) for v in gp) > safe:
-            continue
-        if src.get(g, ZERO) != c:
-            raise AssertionError(
-                f"adjacency transport mismatch ({kind}, reverse) at {gp}: "
-                f"{c!r} != {src.get(g, ZERO)!r}"
-            )
-    return {move(g, kappa): c for g, c in src.items()}
+    back = f_U if kind == DUAL else f_L  # inverse bijection of move
+    moved = {move(g, kappa): c for g, c in src.items()}
+    _agree(
+        moved,
+        dst,
+        lambda gp: _in_box(gp, k - 1) and _in_box(back(gp, kappa), k - 1),
+        f"adjacency transport ({kind}) of f={f}->{fp}",
+    )
+    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +471,7 @@ def truncation_consistent_tensor(
     """Level-(k+1) column restricted to the k-box equals the k-column."""
     small = engine(Window(b, k)).column(tuple(f), kind).entries
     big = engine(Window(b, k + 1)).column(tuple(f), kind).entries
-    for g, c in small.items():
-        if big.get(g, ZERO) != c:
-            raise AssertionError(f"tensor truncation mismatch at {g} for f={f}")
-    for g, c in big.items():
-        if max(abs(v) for v in g) <= k and small.get(g, ZERO) != c:
-            raise AssertionError(f"tensor truncation mismatch at {g} for f={f}")
+    _agree(small, big, lambda g: _in_box(g, k), f"tensor truncation of f={f}")
     return True
 
 
@@ -504,24 +483,14 @@ def truncation_consistent_wedge(
     f is a flat index at tail length kw; it is extended by one vacuum
     entry for the bigger space.
     """
-    mn = len(b)
     vac = (-kw) if side == "V" else (kw + 1)
     fbig = tuple(f) + (vac,)
     kk = max(k, abs(vac) + 1)
     small = engine(Window(b, kk, (side, kw))).column(tuple(f), kind).entries
     big = engine(Window(b, kk, (side, kw + 1))).column(fbig, kind).entries
-    for gbig, c in big.items():
-        tail = gbig[mn:]
-        if tail[-1] == vac:
-            g = gbig[:-1]
-            if small.get(g, ZERO) != c:
-                raise AssertionError(
-                    f"wedge truncation mismatch at {g} for f={f}: "
-                    f"{small.get(g, ZERO)!r} != {c!r}"
-                )
-    for g, c in small.items():
-        if big.get(tuple(g) + (vac,), ZERO) != c:
-            raise AssertionError(f"wedge truncation missing {g} for f={f}")
+    # Tr keeps the entries whose last tail slot is the vacuum, and drops it
+    trunc = {g[:-1]: c for g, c in big.items() if g[-1] == vac}
+    _agree(small, trunc, None, f"wedge truncation of f={f}")
     return True
 
 
@@ -536,16 +505,13 @@ def shift_column_invariant(b: SignedSeq, f: tuple, p: int, kind: str) -> bool:
     col = engine(Window(b, k)).column(f, kind).entries
     cols = engine(Window(b, k)).column(fs, kind).entries
     safe = k - abs(p)
-    for g, c in col.items():
-        gs = tuple(v + p for v in g)
-        if max(abs(v) for v in g) <= safe and max(abs(v) for v in gs) <= safe:
-            if cols.get(gs, ZERO) != c:
-                raise AssertionError(f"shift mismatch at g={g}, f={f}, p={p}")
-    for gs, c in cols.items():
-        g = tuple(v - p for v in gs)
-        if max(abs(v) for v in g) <= safe and max(abs(v) for v in gs) <= safe:
-            if col.get(g, ZERO) != c:
-                raise AssertionError(f"shift mismatch at g={g}, f={f}, p={p}")
+    shifted = {tuple(v + p for v in g): c for g, c in col.items()}
+    _agree(
+        shifted,
+        cols,
+        lambda gs: _in_box(gs, safe) and _in_box([v - p for v in gs], safe),
+        f"shift by p={p} of f={f}",
+    )
     return True
 
 

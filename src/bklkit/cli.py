@@ -18,7 +18,7 @@ import sys
 from . import cache as cachemod
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
-from .combinat import SignedSeq, WedgeIndex, check_partition, parse_weight
+from .combinat import SignedSeq, WedgeIndex, check_partition, parse_weight, weight_to_f
 from .scalars import Laurent
 from .verify import run_suite
 
@@ -46,6 +46,12 @@ def _parse_wedge(text: str):
             raise UsageError(f"bad wedge side in {text!r}")
         return ("partition", side, lam)
     raise UsageError(f"cannot parse wedge spec {text!r}")
+
+
+def _check_window(idx: tuple, k: int | None) -> None:
+    """A --window level k admits only indices with every |entry| <= k."""
+    if k is not None and any(abs(v) > k for v in idx):
+        raise UsageError(f"index {','.join(map(str, idx))} lies outside window level {k}")
 
 
 def _poly_tex(p: Laurent) -> str:
@@ -148,6 +154,7 @@ def cmd_bkl(args) -> int:
         if len(flat) != len(b):
             raise UsageError(f"--f needs {len(b)} entries for sequence {b}")
         wspec = None
+    _check_window(flat, args.window)
 
     key = cachemod.cache_key(
         "bkl-column",
@@ -188,6 +195,7 @@ def cmd_char(args) -> int:
     lam = parse_weight(getattr(args, "lambda"))
     if len(lam) != len(b):
         raise UsageError(f"--lambda needs {len(b)} entries for sequence {b}")
+    _check_window(weight_to_f(b, lam), args.window)
     fn = irreducible_character if args.kind == "irr" else tilting_character
     exp = fn(b, lam, k=args.window)
     payload = exp.to_json()
@@ -266,10 +274,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

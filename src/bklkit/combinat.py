@@ -121,8 +121,8 @@ def bruhat_leq(b: SignedSeq, g: Weight, f: Weight) -> bool:
         raise ValueError("length mismatch")
     if p == 0:
         return True
-    if wt_signature(b, g) != wt_signature(b, f):
-        return False
+    # no weight test needed: the signed multiplicity of v is sharp(., v, 1)
+    # - sharp(., v-1, 1), so the j = 1 equalities below force equal weights
     lo = min(min(g), min(f)) - 1
     hi = max(max(g), max(f))
     for a in range(lo, hi + 1):
@@ -364,16 +364,6 @@ def w_tail(parts: tuple, kw: int) -> tuple:
     """First kw entries of the W-side tail: f(u_i) = i - lam_i."""
     check_partition(parts)
     return tuple((i + 1) - (parts[i] if i < len(parts) else 0) for i in range(kw))
-
-
-def partition_from_v_tail(tail: tuple) -> tuple:
-    lam = tuple(tail[i] + i for i in range(len(tail)))
-    return tuple(p for p in lam if p > 0)
-
-
-def partition_from_w_tail(tail: tuple) -> tuple:
-    lam = tuple((i + 1) - tail[i] for i in range(len(tail)))
-    return tuple(p for p in lam if p > 0)
 
 
 @dataclass(frozen=True)

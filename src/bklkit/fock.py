@@ -145,9 +145,6 @@ class FockVector:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, f: tuple) -> Laurent:
-        return self.terms.get(tuple(f), ZERO)
-
     def to_json(self) -> dict:
         mn = self.window.tensor_len
         wedge = self.window.wedge

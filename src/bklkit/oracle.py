@@ -24,18 +24,6 @@ def perm_inversions(p: tuple) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
 
-def perm_mult(p: tuple, s: tuple) -> tuple:
-    """(p s)(i) = p(s(i))."""
-    return tuple(p[s[i]] for i in range(len(p)))
-
-
-def perm_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def reduced_word(p: tuple) -> list:
     """A reduced word, read left to right, multiplying into p."""
     p = list(p)

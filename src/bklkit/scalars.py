@@ -158,12 +158,6 @@ class Laurent:
             total += v * q0**e
         return total
 
-    def min_exp(self) -> int:
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        return max(self.c)
-
     def degree_class(self) -> DegreeClass:
         if not self.c:
             return DegreeClass.ZERO
@@ -476,11 +470,6 @@ class RationalQ:
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
         return RationalQ(self.den, self.num)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Laurent)):
-            other = RationalQ(other)
-        return self * other.inverse()
 
     def bar(self) -> "RationalQ":
         return RationalQ(self.num.bar(), self.den.bar())

@@ -24,3 +24,20 @@ def test_every_bench_hook_target_exists():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_memo_attributes_the_tracer_reads():
+    # tracing.py reads these memos through getattr(..., None) to count
+    # column and row cache hits: a rename would zero the counts silently
+    from bklkit.barinv import BarContext
+    from bklkit.canonical import CANONICAL, BklEngine
+    from bklkit.combinat import SignedSeq
+    from bklkit.fock import Window
+
+    win = Window(SignedSeq.parse("01"), 1)
+    eng, ctx = BklEngine(win), BarContext(win)
+    assert isinstance(eng._columns, dict) and isinstance(ctx._rows, dict)
+    eng.column((1, 1), CANONICAL)
+    ctx.row((1, 1))
+    assert ((1, 1), CANONICAL) in eng._columns
+    assert (1, 1) in ctx._rows

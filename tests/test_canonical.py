@@ -1,6 +1,9 @@
 """Canonical / dual canonical columns and the transports between them."""
+import hashlib
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from bklkit.barinv import BarContext
 from bklkit.canonical import (
     CANONICAL,
     DUAL,
+    BklColumn,
     BklEngine,
     BklTable,
     TriangularityError,
@@ -153,6 +157,61 @@ def check_candidates_match_old_order(windows) -> int:
 
 def test_candidate_order_matches_old_sharp_total():
     assert check_candidates_match_old_order(candidate_windows(3, 4, 2, 2, 3)) > 0
+
+
+def test_column_tables_match_recorded_digests():
+    # sha256 of each canonical and dual table's sorted JSON over every
+    # tensor window with m+n <= 3 at k <= 3 and every wedge window with
+    # m+n <= 2, kw <= 2 at k <= 2, recorded before the solve pushed bar
+    # rows through addmul; any change in any coefficient shows here
+    want = json.loads((Path(__file__).parent / "column_digests.json").read_text())
+    got = {}
+    for win in candidate_windows(3, 3, 2, 2, 2):
+        wedge = f"{win.wedge[0]}:{win.wedge[1]}" if win.wedge else ""
+        for kind in (CANONICAL, DUAL):
+            table = BklTable.over_window(win, kind).to_json()
+            got[f"{win.b}|{win.k}|{wedge}|{kind}"] = hashlib.sha256(
+                json.dumps(table, sort_keys=True).encode()
+            ).hexdigest()
+    assert got == want
+
+
+def test_inconsistent_bar_row_is_a_triangularity_error():
+    # a constant term added to one off-diagonal bar-row entry reaches the
+    # pending sum of that index, which then fails antisymmetry
+    f = (1, 1)
+    eng = BklEngine(Window(SignedSeq.parse("01"), 2))
+    row = eng.bar_row(f)
+    g = next(h for h in row if h != f)
+    row[g] = row[g] + ONE
+    with pytest.raises(TriangularityError, match="inconsistent bar data"):
+        eng.column(f, CANONICAL)
+
+
+def test_bkl_stability_check_catches_a_corrupt_bigger_column(monkeypatch):
+    b, f, k = SignedSeq.parse("01"), (1, 1), 3
+    big = engine(Window(b, k + 1))
+    good = big.column(f, DUAL)
+    below = next(g for g in good.entries if g != f)
+    extra = next(g for g in product(range(-k, k + 1), repeat=2) if g not in good.entries)
+
+    def corrupt(entries):
+        col = BklColumn(good.window, f, DUAL, entries)
+        monkeypatch.setattr(big, "_columns", {**big._columns, (f, DUAL): col})
+
+    # an entry outside the k-box is not compared
+    corrupt({**good.entries, (k + 1, k + 1): ONE})
+    assert bkl(b, f, DUAL, k=k).entries == engine(Window(b, k)).column(f, DUAL).entries
+    # a changed shared entry, a dropped one and an extra one inside the box
+    for entries in (
+        {**good.entries, below: good.entries[below] + q_power(-7)},
+        {g: c for g, c in good.entries.items() if g != below},
+        {**good.entries, extra: ONE},
+    ):
+        corrupt(entries)
+        with pytest.raises(AssertionError, match="mismatch"):
+            bkl(b, f, DUAL, k=k)
+        bkl(b, f, DUAL, k=k, check_stability=False)
 
 
 def test_columns_are_bar_invariant():

@@ -130,6 +130,28 @@ def test_bkl_wedge_tail_not_strict(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_index_outside_the_window_is_a_usage_error(capsys, tmp_path):
+    # tensor entry, wedge head, wedge tail, partition tail, char weight
+    for argv, idx in (
+        (("bkl", "--seq", "01", "--f", "9,9"), "9,9"),
+        (("bkl", "--seq", "01", "--f", "1,7/1,0", "--wedge", "V:2"), "1,7,1,0"),
+        (("bkl", "--seq", "01", "--f", "1,1/0,-5", "--wedge", "V:2"), "1,1,0,-5"),
+        (("bkl", "--seq", "01", "--f", "1,1", "--wedge", "partition:V:5"), "1,1,5"),
+        (("char", "--seq", "01", "--lambda", "5,0"), "5,0"),
+    ):
+        cache = ("--cache-dir", str(tmp_path)) if argv[0] == "bkl" else ()
+        code, out, err = run(capsys, *argv, "--window", "3", *cache)
+        assert code == 2 and out == "", (argv, err)
+        assert f"index {idx} lies outside window level 3" in err, err
+        assert "Window(" not in err, err
+    assert not any(tmp_path.iterdir())
+    # the edge of the box is still inside
+    code, out, _ = run(
+        capsys, "bkl", "--seq", "01", "--f", "3,-3", "--window", "3", "--no-cache"
+    )
+    assert code == 0 and json.loads(out)["window"] == 3
+
+
 def test_bkl_wedge_partition(capsys, tmp_path):
     code, out, _ = run(
         capsys, "bkl", "--seq", "0", "--f", "1", "--wedge", "partition:V:2,1",
