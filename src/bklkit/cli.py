@@ -6,25 +6,35 @@ runs the exact-identity suites.  Columns are cached content-addressed
 under a two-level hash directory; a cache hit is returned byte-identically
 and never recomputed unless --no-cache.
 
-Exit codes: 0 success, 1 internal invariant failure (with diagnostic),
-2 usage error.
+Exit codes: 0 success, 2 usage error (raised while the input is parsed), 1
+any later failure, with its diagnostic.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import cache as cachemod
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
 from .combinat import SignedSeq, WedgeIndex, check_partition, parse_weight, weight_to_f
 from .scalars import Laurent
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _parsing():
+    """Input rejected by a parser or a constructor is a usage error."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_wedge(text: str):
@@ -38,10 +48,7 @@ def _parse_wedge(text: str):
     if parts[0] == "partition" and len(parts) in (2, 3):
         side = parts[1] if len(parts) == 3 else "V"
         lam = tuple(int(v) for v in parts[-1].split(",")) if parts[-1] else ()
-        try:
-            check_partition(lam)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        check_partition(lam)  # a ValueError here is a usage error, see _parsing
         if side not in ("V", "W"):
             raise UsageError(f"bad wedge side in {text!r}")
         return ("partition", side, lam)
@@ -50,6 +57,8 @@ def _parse_wedge(text: str):
 
 def _check_window(idx: tuple, k: int | None) -> None:
     """A --window level k admits only indices with every |entry| <= k."""
+    if k is not None and k <= 0:
+        raise UsageError(f"window level {k} is not positive")
     if k is not None and any(abs(v) > k for v in idx):
         raise UsageError(f"index {','.join(map(str, idx))} lies outside window level {k}")
 
@@ -118,43 +127,43 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
 
 
 def cmd_bkl(args) -> int:
-    b = SignedSeq.parse(args.seq)
-    kind = {"canonical": CANONICAL, "dual": DUAL}[args.kind]
-    wedge = _parse_wedge(args.wedge) if args.wedge else None
-
-    if wedge and wedge[0] == "partition":
-        _, side, lam = wedge
-        head = parse_weight(args.f)
-        if len(head) != len(b):
-            raise UsageError(f"--f needs {len(b)} tensor entries")
-        idx = WedgeIndex(head, side, lam)
-        kw = max(len(lam), 1)
-        flat = idx.flat(kw)
-        wspec = {"side": side, "kw": kw, "partition": list(lam)}
-    elif wedge:
-        _, side, kw = wedge
-        if "/" in args.f:
-            head_s, tail_s = args.f.split("/", 1)
+    with _parsing():
+        b = SignedSeq.parse(args.seq)
+        kind = {"canonical": CANONICAL, "dual": DUAL}[args.kind]
+        wedge = _parse_wedge(args.wedge) if args.wedge else None
+        if wedge and wedge[0] == "partition":
+            _, side, lam = wedge
+            head = parse_weight(args.f)
+            if len(head) != len(b):
+                raise UsageError(f"--f needs {len(b)} tensor entries")
+            idx = WedgeIndex(head, side, lam)
+            kw = max(len(lam), 1)
+            flat = idx.flat(kw)
+            wspec = {"side": side, "kw": kw, "partition": list(lam)}
+        elif wedge:
+            _, side, kw = wedge
+            if "/" in args.f:
+                head_s, tail_s = args.f.split("/", 1)
+            else:
+                head_s, tail_s = args.f, ""
+            head, tail = parse_weight(head_s), parse_weight(tail_s)
+            if len(head) != len(b) or len(tail) != kw:
+                raise UsageError(
+                    f"--f must be '<{len(b)} tensor entries>/<{kw} tail entries>'"
+                )
+            if any((x <= y) if side == "V" else (x >= y) for x, y in zip(tail, tail[1:])):
+                order = "decreasing" if side == "V" else "increasing"
+                raise UsageError(
+                    f"{side} tail {','.join(map(str, tail))} is not strictly {order}"
+                )
+            flat = head + tail
+            wspec = {"side": side, "kw": kw}
         else:
-            head_s, tail_s = args.f, ""
-        head, tail = parse_weight(head_s), parse_weight(tail_s)
-        if len(head) != len(b) or len(tail) != kw:
-            raise UsageError(
-                f"--f must be '<{len(b)} tensor entries>/<{kw} tail entries>'"
-            )
-        if any((x <= y) if side == "V" else (x >= y) for x, y in zip(tail, tail[1:])):
-            order = "decreasing" if side == "V" else "increasing"
-            raise UsageError(
-                f"{side} tail {','.join(map(str, tail))} is not strictly {order}"
-            )
-        flat = head + tail
-        wspec = {"side": side, "kw": kw}
-    else:
-        flat = parse_weight(args.f)
-        if len(flat) != len(b):
-            raise UsageError(f"--f needs {len(b)} entries for sequence {b}")
-        wspec = None
-    _check_window(flat, args.window)
+            flat = parse_weight(args.f)
+            if len(flat) != len(b):
+                raise UsageError(f"--f needs {len(b)} entries for sequence {b}")
+            wspec = None
+        _check_window(flat, args.window)
 
     key = cachemod.cache_key(
         "bkl-column",
@@ -191,11 +200,12 @@ def cmd_bkl(args) -> int:
 
 
 def cmd_char(args) -> int:
-    b = SignedSeq.parse(args.seq)
-    lam = parse_weight(getattr(args, "lambda"))
-    if len(lam) != len(b):
-        raise UsageError(f"--lambda needs {len(b)} entries for sequence {b}")
-    _check_window(weight_to_f(b, lam), args.window)
+    with _parsing():
+        b = SignedSeq.parse(args.seq)
+        lam = parse_weight(getattr(args, "lambda"))
+        if len(lam) != len(b):
+            raise UsageError(f"--lambda needs {len(b)} entries for sequence {b}")
+        _check_window(weight_to_f(b, lam), args.window)
     fn = irreducible_character if args.kind == "irr" else tilting_character
     exp = fn(b, lam, k=args.window)
     payload = exp.to_json()
@@ -217,6 +227,8 @@ def cmd_char(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite not in (*SUITES, "all"):
+        raise UsageError(f"unknown suite {args.suite!r}; try {', '.join(SUITES)} or all")
     suite = run_suite(args.suite, max_rank=args.max_rank, max_window=args.max_window)
     for r in suite.results:
         status = "PASS" if r.ok else "FAIL"
@@ -274,11 +286,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+    except (AssertionError, ValueError, KeyError) as exc:
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,7 @@
 """Index-level combinatorics.
 
 0^m1^n-sequences, integer weight functions and the Bruhat ordering attached
-to a sequence, down-move chains and interval enumeration, Weyl vectors and
+to a sequence, down-move chains and down-set enumeration, Weyl vectors and
 the weight <-> index dictionaries, the adjacent-sequence index maps, and the
 partition bookkeeping behind semi-infinite wedge tails.
 
@@ -180,52 +180,58 @@ def move_closure_reaches(b: SignedSeq, f: Weight, g: Weight) -> bool:
     return g in seen
 
 
-def interval(b: SignedSeq, g: Weight, f: Weight) -> list:
-    """All h with g <= h <= f, by right-to-left backtracking.
+def downset(bits: tuple, f: Weight, k: int, tail: tuple | None = None) -> list:
+    """Every g <= f with entries in [-k, k], by right-to-left backtracking.
 
-    Entries of any h in the interval are bounded by the max magnitude
-    of the endpoints, which makes the search finite; partial suffixes are
-    pruned against the sharp statistics of both endpoints.
+    tail = (side, kw): the last kw slots hold a strict V or W wedge tail.  A
+    value v adds its slot's sign to sharp(., a, j) at the levels a = v..k-1.
+    A suffix from slot j survives while it stays below sharp(f, ., j) and the
+    slots left can close the gap d to sharp(f, ., 1), read from 0 below -k to
+    their signed count above k-1: a V slot is a unit rise of d, a W slot a
+    unit fall, so d rises by at most their V count, and at that count a V
+    slot must go where d rises, a W slot where it falls.
     """
-    if not bruhat_leq(b, g, f):
-        raise ValueError("interval endpoints are not comparable: g must be <= f")
-    p = len(b)
-    if p == 0:
-        return [()]
-    bound = max(max(abs(v) for v in f), max(abs(v) for v in g))
-    bits = b.bits
-    avals = list(range(-bound - 1, bound + 1))
+    p, levels = len(bits), 2 * k
+    signs = [-1 if bit else 1 for bit in bits]
 
-    sg = [None] + [[sharp(b, g, a, j) for a in avals] for j in range(1, p + 1)]
-    sf = [None] + [[sharp(b, f, a, j) for a in avals] for j in range(1, p + 1)]
+    def step(row: list, j: int, v: int) -> list:  # place v at slot j
+        return row[: v + k] + [c + signs[j] for c in row[v + k :]]
 
-    results = []
-    suffix: list = []
+    fs = [[0] * levels]  # fs[p - j]: sharp(f, a, j + 1) at the levels
+    for j in range(p - 1, -1, -1):
+        fs.append(step(fs[-1], j, f[j]))
+    final = fs[-1]
+    side, kw = tail or (None, 0)
+    out, g = [], [0] * p
 
-    def recurse(j: int, cur: list):
-        # cur[idx] = sharp of the chosen suffix h_{j+1..p} at avals[idx]
-        if j == 0:
-            results.append(tuple(suffix))
+    def visit(j: int, cur: list, nv: int):  # nv: V slots among slots 0..j
+        if j < 0:
+            out.append(tuple(g))
             return
-        s = -1 if bits[j - 1] else 1
-        for v in range(-bound, bound + 1):
-            nxt = [
-                cur[idx] + (s if v <= a else 0) for idx, a in enumerate(avals)
-            ]
-            if j > 1:
-                ok = all(
-                    sg[j][idx] <= nxt[idx] <= sf[j][idx]
-                    for idx in range(len(avals))
-                )
-            else:
-                ok = all(nxt[idx] == sf[1][idx] for idx in range(len(avals)))
-            if ok:
-                suffix.insert(0, v)
-                recurse(j - 1, nxt)
-                suffix.pop(0)
+        s, fj = signs[j], fs[p - j]
+        xa, xb = levels, -1  # first level over fj unmoved, last one moved
+        steps, prev = [], 0  # steps[x]: d at level x minus d below it
+        for x, c in enumerate(cur):
+            if xa == levels and c > fj[x]:
+                xa = x
+            if c + s > fj[x]:
+                xb = x
+            steps.append(final[x] - c - prev)
+            prev = final[x] - c
+        steps.append(2 * nv - j - 1 - prev)  # top of d: signed count of 0..j
+        tight = sum(r for r in steps if r > 0) == nv
+        first, last = xb + 1 - k, xa - k  # v + k in (xb, xa]
+        if p - kw <= j < p - 1 and side == "V":  # strict against its right one
+            first = max(first, g[j + 1] + 1)
+        elif p - kw <= j < p - 1:
+            last = min(last, g[j + 1] - 1)
+        for v in range(first, last + 1):
+            if not tight or s * steps[v + k] > 0:
+                g[j] = v
+                visit(j - 1, step(cur, j, v), nv - (s > 0))
 
-    recurse(p, [0] * len(avals))
-    return results
+    visit(p - 1, [0] * levels, p - sum(bits))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ coproduct slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, product
 
 from .combinat import SignedSeq, wt_signature
@@ -93,18 +92,13 @@ class Window:
             for t in tails:
                 yield h + t
 
-    def signature(self, f: tuple) -> tuple:
-        return wt_signature(SignedSeq(self.extended_bits()), f)
 
-    def weight_class(self, f: tuple) -> tuple:
-        return _weight_classes(self)[self.signature(f)]
-
-
-@lru_cache(maxsize=None)
 def _weight_classes(window: Window) -> dict:
+    """The whole basis of the window grouped by wt_signature (a full scan)."""
+    b = SignedSeq(window.extended_bits())
     out: dict = {}
     for f in window.basis():
-        out.setdefault(window.signature(f), []).append(f)
+        out.setdefault(wt_signature(b, f), []).append(f)
     return out
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .barinv import BarContext
-from .combinat import SignedSeq, bruhat_leq
-from .fock import FockVector, Window, _act_raw
+from .combinat import SignedSeq, bruhat_leq, wt_signature
+from .fock import FockVector, Window, _act_raw, _weight_classes
 from .scalars import Laurent, ONE, RationalQ, ZERO, Z_QMQINV, q_power
 
 # ---------------------------------------------------------------------------
@@ -223,11 +223,12 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
         raise ValueError(f"window dimension {len(basis)} too large for the solver")
     b = window.b
     ctx = BarContext(window)
+    classes = _weight_classes(window)
 
     unknowns = []  # (g, f) pairs with g strictly below f
     index = {}
     for f in basis:
-        for g in window.weight_class(f):
+        for g in classes[wt_signature(b, f)]:
             if g != f and bruhat_leq(b, g, f):
                 index[(g, f)] = len(unknowns)
                 unknowns.append((g, f))
@@ -248,7 +249,7 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
                 cb = RationalQ(c.bar())
                 # psi(M_h) = M_h + sum of unknowns below h
                 lhs_const[h] = lhs_const.get(h, RationalQ(ZERO)) + cb
-                for g in window.weight_class(h):
+                for g in classes[wt_signature(b, h)]:
                     jj = index.get((g, h))
                     if jj is not None:
                         lhs_lin.setdefault(g, {})
@@ -257,7 +258,7 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
             rhs_lin: dict = {}
             for h, c in moved.items():
                 rhs_const[h] = rhs_const.get(h, RationalQ(ZERO)) + RationalQ(c)
-            for g in window.weight_class(f):
+            for g in classes[wt_signature(b, f)]:
                 jj = index.get((g, f))
                 if jj is None:
                     continue

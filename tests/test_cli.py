@@ -206,6 +206,33 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_failure_after_parsing_is_internal(capsys, monkeypatch):
+    from bklkit import canonical
+
+    def broken(self, f):
+        raise ValueError(f"no down-set for {f}")
+
+    # fresh engines, so no memoized column hides the patched method
+    monkeypatch.setattr(canonical, "engine", canonical.BklEngine)
+    monkeypatch.setattr(canonical.BklEngine, "candidates", broken)
+    code, out, err = run(
+        capsys, "bkl", "--seq", "01", "--f", "2,1", "--window", "4", "--no-cache"
+    )
+    assert code == 1 and out == "", err
+    assert "internal failure" in err and "no down-set for (2, 1)" in err, err
+    assert "usage error" not in err, err
+
+
+def test_nonpositive_window_is_a_usage_error(capsys, tmp_path):
+    for argv in (
+        ("bkl", "--seq", "01", "--f", "0,0", "--cache-dir", str(tmp_path)),
+        ("char", "--seq", "01", "--lambda", "0,0"),
+    ):
+        code, out, err = run(capsys, *argv, "--window", "0")
+        assert code == 2 and out == "", (argv, err)
+        assert "window level 0 is not positive" in err, err
+
+
 def test_bad_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bkl", "--seq", "01", "--f", "1,1", "--kind", "bogus"])

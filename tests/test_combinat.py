@@ -1,6 +1,6 @@
 """Index combinatorics: sharp statistics, Bruhat order, dictionaries."""
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,10 +11,10 @@ from bklkit.combinat import (
     bruhat_leq,
     conjugate,
     down_moves,
+    downset,
     f_L,
     f_U,
     f_to_weight,
-    interval,
     lambda_L,
     lambda_U,
     move_closure_reaches,
@@ -116,20 +116,66 @@ def test_move_closure_equals_order_for_extreme_sequences():
                 assert (g in reachable) == bruhat_leq(b, g, f), (b, f, g)
 
 
+def scan_classes(bits, k, tail):
+    """The full-window scan: every index of the window, grouped by weight."""
+    b = SignedSeq(bits)
+    side, kw = tail or ("V", 0)
+    box = range(-k, k + 1)
+    tails = [tuple(sorted(c, reverse=side == "V")) for c in combinations(box, kw)]
+    classes: dict = {}
+    for h in product(box, repeat=len(bits) - kw):
+        for t in tails:
+            classes.setdefault(wt_signature(b, h + t), []).append(h + t)
+    return classes.values()
+
+
+def scan_windows():
+    """Every sequence with m+n <= 3 at k <= 3 (the empty one included), then
+    every V and W wedge window with m+n <= 2, kw <= 2 at k <= 3."""
+    for bits in (bits for p in range(4) for bits in product((0, 1), repeat=p)):
+        for k in range(1, 4):
+            yield bits, k, None
+    for head in (bits for p in range(3) for bits in product((0, 1), repeat=p)):
+        for side, kw in product("VW", (1, 2)):
+            for k in range(1, 4):
+                yield head + (0 if side == "V" else 1,) * kw, k, (side, kw)
+
+
+def test_downset_matches_window_scan():
+    n = 0
+    for bits, k, tail in scan_windows():
+        b = SignedSeq(bits)
+        for cls in scan_classes(bits, k, tail):
+            for f in cls:
+                down = downset(bits, f, k, tail)
+                assert len(down) == len(set(down)), (bits, k, tail, f)
+                want = {g for g in cls if bruhat_leq(b, g, f)}
+                assert set(down) == want, (bits, k, tail, f)
+                n += 1
+    assert n > 10_000
+
+
+def interval_of(bits, g, f, k):
+    """The interval [g, f] read off down-sets: g <= h <= f."""
+    return {h for h in downset(bits, f, k) if g in downset(bits, h, k)}
+
+
 def test_interval():
-    b = SignedSeq.parse("01")
-    assert interval(b, (1, 1), (1, 1)) == [(1, 1)]
-    assert set(interval(b, (1, 1), (2, 2))) == {(1, 1), (2, 2)}
-    assert set(interval(SignedSeq.parse("00"), (1, 2), (2, 1))) == {(1, 2), (2, 1)}
-    with pytest.raises(ValueError):
-        interval(SignedSeq.parse("00"), (2, 1), (1, 2))
+    assert interval_of((0, 1), (1, 1), (1, 1), 2) == {(1, 1)}
+    assert interval_of((0, 1), (1, 1), (2, 2), 2) == {(1, 1), (2, 2)}
+    assert interval_of((0, 0), (1, 2), (2, 1), 2) == {(1, 2), (2, 1)}
+    # an incomparable pair is no error: g is simply not below f
+    assert (2, 1) not in downset((0, 0), (1, 2), 2)
+    assert interval_of((0, 0), (2, 1), (1, 2), 2) == set()
 
 
 def test_interval_box_bound():
-    b = SignedSeq.parse("010")
+    # entries in [g, f] are bounded by the endpoints' magnitude, so a wider
+    # window adds nothing to the interval
+    bits = (0, 1, 0)
     g, f = (0, 0, 1), (1, 1, 1)
-    if bruhat_leq(b, g, f):
-        for h in interval(b, g, f):
+    if bruhat_leq(SignedSeq(bits), g, f):
+        for h in interval_of(bits, g, f, 3):
             assert all(abs(v) <= 1 for v in h)
 
 

@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from bklkit.combinat import SignedSeq
+from bklkit.combinat import SignedSeq, wt_signature
 from bklkit.fock import (
     FockVector,
     Window,
     WindowOverflowError,
+    _weight_classes,
     apply_gen,
     h0_apply,
     hecke_act,
@@ -248,7 +249,7 @@ def test_window_basis_and_classes():
     w = Window(SignedSeq.parse("01"), 1)
     basis = list(w.basis())
     assert len(basis) == 9
-    cls = w.weight_class((1, 1))
+    cls = _weight_classes(w)[wt_signature(w.b, (1, 1))]
     assert set(cls) == {(-1, -1), (0, 0), (1, 1)}
     ww = Window(SignedSeq.parse(""), 2, ("W", 2))
     assert all(t[0] < t[1] for t in ww.basis())
