@@ -174,9 +174,9 @@ def test_interval_box_bound():
     # window adds nothing to the interval
     bits = (0, 1, 0)
     g, f = (0, 0, 1), (1, 1, 1)
-    if bruhat_leq(SignedSeq(bits), g, f):
-        for h in interval_of(bits, g, f, 3):
-            assert all(abs(v) <= 1 for v in h)
+    assert bruhat_leq(SignedSeq(bits), g, f)
+    between = interval_of(bits, g, f, 3)
+    assert {g, f} <= between and all(abs(v) <= 1 for h in between for v in h)
 
 
 def test_weyl_rho_examples():
