@@ -253,32 +253,25 @@ class BarTable:
         }
 
 
-def bar_table(window: Window, fbox: int | None = None) -> BarTable:
-    """Bar rows for every index of the window whose entries are <= fbox.
+def bar_table(window: Window) -> BarTable:
+    """Bar rows for every index of the window.
 
-    fbox defaults to the full window.  The involution identity is verified
-    for all pairs carried by the table and a failure is a hard error.
+    The involution identity is verified for all pairs carried by the table
+    and a failure is a hard error.
     """
-    bound = window.k if fbox is None else min(fbox, window.k)
-    rows = {}
     if window.wedge is None:
         ctx = BarContext(window)
-        for f in window.basis():
-            if max((abs(v) for v in f), default=0) <= bound:
-                rows[f] = ctx.row(f)
+        rows = {f: ctx.row(f) for f in window.basis()}
     else:
         ctx = BarContext(window.extended())
-        for f in window.basis():
-            if max((abs(v) for v in f), default=0) <= bound:
-                rows[f] = wedge_bar_row(window, ctx, f)
+        rows = {f: wedge_bar_row(window, ctx, f) for f in window.basis()}
     table = BarTable(window, rows)
-    if fbox is None or fbox >= window.k:
-        defect = table.involution_defect()
-        if defect is not None:
-            g, f, val = defect
-            raise AssertionError(
-                f"bar is not an involution on {window}: pair g={g}, f={f}, defect {val!r}"
-            )
+    defect = table.involution_defect()
+    if defect is not None:
+        g, f, val = defect
+        raise AssertionError(
+            f"bar is not an involution on {window}: pair g={g}, f={f}, defect {val!r}"
+        )
     return table
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .barinv import BarContext, wedge_bar_row
 from .combinat import (
     SignedSeq,
     WedgeIndex,
     bruhat_leq,
-    downset,
     f_L,
     f_U,
     natural_bij,
@@ -78,7 +78,7 @@ class BklEngine:
         self._ctx = BarContext(window if window.wedge is None else window.extended())
         self._wedge_rows: dict = {}
         self._columns: dict = {}
-        self._downsets: dict = {}  # f -> sorted down-set, shared by both kinds
+        self._weights = [(i + 1) * self.bext.sign(i + 1) for i in range(len(self.bext))]
 
     def bar_row(self, f: tuple) -> dict:
         if self.window.wedge is None:
@@ -89,69 +89,72 @@ class BklEngine:
             self._wedge_rows[f] = row
         return row
 
-    def candidates(self, f: tuple) -> list:
-        """Down-set of f inside the window, f first, in a linear extension.
+    def key(self, g: tuple) -> int:
+        """The linear order key sum_i (i+1) s_i g_i, s_i = (-1)^{b_i} (0-based i).
 
         The total of all sharp values over a grid of levels a in [lo, hi]
-        covering the down-set, sum_{a,j} sharp(g, a, j), is strictly
-        order-monotone.  It equals (hi+1) sum_i (i+1) s_i - sum_i (i+1) s_i g_i
-        with s_i = (-1)^{b_i} (0-based i), so sorting by the linear part
-        sum_i (i+1) s_i g_i, ascending, puts every element after everything
-        above it.  The list is memoized and shared: callers must not mutate it.
+        covering g and f, sum_{a,j} sharp(g, a, j), is strictly
+        order-monotone and equals (hi+1) sum_i (i+1) s_i - key(g).  So
+        g < f implies key(g) > key(f): ascending keys list every index
+        after everything above it.
         """
-        down = self._downsets.get(f)
-        if down is None:
-            if not self.window.valid_index(f):
-                raise ValueError(f"index {f} not in window {self.window}")
-            wts = [(i + 1) * self.bext.sign(i + 1) for i in range(len(self.bext))]
-            down = downset(self.bext.bits, f, self.window.k, self.window.wedge)
-            down.sort(key=lambda g: (sum(w * v for w, v in zip(wts, g)), g))
-            self._downsets[f] = down
-        return down
+        return sum(w * v for w, v in zip(self._weights, g))
 
-    def column(self, f: tuple, kind: str, order=None) -> BklColumn:
+    def candidates(self, f: tuple) -> list:
+        """{g <= f} sorted by key, from a window scan; the solve never calls it."""
+        down = [g for g in self.window.basis() if bruhat_leq(self.bext, g, f)]
+        return sorted(down, key=lambda g: (self.key(g), g))
+
+    def column(self, f: tuple, kind: str) -> BklColumn:
         f = tuple(f)
-        key = (f, kind)
-        hit = self._columns.get(key)
+        memo = (f, kind)
+        hit = self._columns.get(memo)
         if hit is not None:
             return hit
-        cands = self.candidates(f) if order is None else list(order)
+        if not self.window.valid_index(f):
+            raise ValueError(f"index {f} not in window {self.window}")
         # push-style solve: once t_g is known, its bar row adds r_hg bar(t_g)
-        # to the pending sum s_h of every h below it; t_f = 1 goes first, and
-        # the last index has no one left to push to, so its row is not built
-        todo = [f] + [g for g in cands if g != f]
-        out: dict = {f: ONE}
+        # to the pending sum s_h of every h below it; the heap hands out the
+        # pending indices by ascending key, so each comes after its pushers
+        out: dict = {}
         pending: dict = {}
-        for i, g in enumerate(todo):
-            if i:
-                s = pending.pop(g, None)
-                if s is None:
-                    continue
-                if not s.is_antisymmetric():
-                    raise TriangularityError(
-                        f"inconsistent bar data at g={g}, f={f}: s={s!r}"
-                    )
-                val = s.pos_part() if kind == CANONICAL else s.neg_part()
-                if not val:
-                    continue
-                out[g] = val
-            if i + 1 < len(todo):
-                vbar = out[g].bar()
-                for h, r in self.bar_row(g).items():
-                    if h != g:
-                        addmul(pending, h, r, vbar)
+        heap: list = []
+
+        def solved(g, val):
+            out[g] = val
+            vbar = val.bar()
+            for h, r in self.bar_row(g).items():
+                if h != g:
+                    if h not in pending:
+                        heappush(heap, (self.key(h), h))
+                    addmul(pending, h, r, vbar)
+
+        last = (self.key(f), f)
+        solved(f, ONE)
+        while heap:
+            item = heappop(heap)
+            g = item[1]
+            s = pending.pop(g, None)
+            if s is None:  # cancelled, or a duplicate heap entry
+                continue
+            if item < last:
+                raise TriangularityError(
+                    f"bar data at g={g} is not below f={f}: s={s!r}"
+                )
+            last = item
+            if not s.is_antisymmetric():
+                raise TriangularityError(
+                    f"inconsistent bar data at g={g}, f={f}: s={s!r}"
+                )
+            val = s.pos_part() if kind == CANONICAL else s.neg_part()
+            if val:
+                solved(g, val)
         col = BklColumn(self.window, f, kind, out)
-        if order is None:
-            self._columns[key] = col
+        self._columns[memo] = col
         return col
 
-    def table(self, kind: str, fbox: int | None = None) -> dict:
-        bound = self.window.k if fbox is None else fbox
-        out = {}
-        for f in self.window.basis():
-            if max((abs(v) for v in f), default=0) <= bound:
-                out[f] = self.column(f, kind).entries
-        return out
+    def table(self, kind: str) -> dict:
+        return {f: self.column(f, kind).entries for f in self.window.basis()}
 
 
 @lru_cache(maxsize=None)
@@ -198,19 +201,6 @@ def wedge_bkl(
     k = k if k is not None else auto_level(b, f, kw)
     win = Window(b, k, (side, kw))
     return engine(win).column(tuple(f), kind)
-
-
-def wedge_bkl_partition(
-    b: SignedSeq,
-    idx: WedgeIndex,
-    kind: str,
-    kw: int | None = None,
-    k: int | None = None,
-) -> BklColumn:
-    """Column for a partition-tailed index, truncated per the tail length."""
-    kw = kw if kw is not None else max(len(idx.parts), 1)
-    flat = idx.flat(kw)
-    return wedge_bkl(b, idx.side, kw, flat, kind, k=k)
 
 
 def _in_box(g: tuple, k: int) -> bool:
@@ -528,10 +518,10 @@ class BklTable:
     entries: dict  # (g, f) -> Laurent, diagonal implicit 1
 
     @classmethod
-    def over_window(cls, window: Window, kind: str, fbox: int | None = None) -> "BklTable":
+    def over_window(cls, window: Window, kind: str) -> "BklTable":
         eng = engine(window)
         ent = {}
-        for f, col in eng.table(kind, fbox).items():
+        for f, col in eng.table(kind).items():
             for g, c in col.items():
                 if g != f:
                     ent[(g, f)] = c

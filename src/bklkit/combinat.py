@@ -1,9 +1,9 @@
 """Index-level combinatorics.
 
 0^m1^n-sequences, integer weight functions and the Bruhat ordering attached
-to a sequence, down-move chains and down-set enumeration, Weyl vectors and
-the weight <-> index dictionaries, the adjacent-sequence index maps, and the
-partition bookkeeping behind semi-infinite wedge tails.
+to a sequence, down-move chains, Weyl vectors and the weight <-> index
+dictionaries, the adjacent-sequence index maps, and the partition
+bookkeeping behind semi-infinite wedge tails.
 
 Positions are 1-based in the public API, mirroring the indexing [m+n];
 weight functions are plain int tuples.
@@ -82,22 +82,8 @@ class SignedSeq:
         b[kappa - 1], b[kappa] = b[kappa], b[kappa - 1]
         return SignedSeq(tuple(b))
 
-    def is_adjacent(self, other: "SignedSeq") -> bool:
-        if len(self) != len(other) or self.m != other.m:
-            return False
-        diff = [i for i, (x, y) in enumerate(zip(self.bits, other.bits)) if x != y]
-        return len(diff) == 2 and diff[1] == diff[0] + 1
-
     def extend(self, bit: int, count: int) -> "SignedSeq":
         return SignedSeq(self.bits + (bit,) * count)
-
-
-def sharp(b: SignedSeq, f: Weight, a: int, j: int) -> int:
-    """sum over i >= j with f(i) <= a of (-1)^{b_i}  (1-based j)."""
-    bits = b.bits
-    return sum(
-        (-1 if bits[i] else 1) for i in range(j - 1, len(bits)) if f[i] <= a
-    )
 
 
 def wt_signature(b: SignedSeq, f: Weight) -> tuple:
@@ -114,7 +100,12 @@ def wt_signature(b: SignedSeq, f: Weight) -> tuple:
 
 
 def bruhat_leq(b: SignedSeq, g: Weight, f: Weight) -> bool:
-    """g <= f in the Bruhat ordering of type b (sharp characterization)."""
+    """g <= f in the Bruhat ordering of type b (sharp characterization).
+
+    sharp(g, a, j) is the sum of (-1)^{b_i} over the 1-based i >= j with
+    g(i) <= a; g <= f iff sharp(g, a, j) <= sharp(f, a, j) for all a, j,
+    with equality at j = 1.
+    """
     bits = b.bits
     p = len(bits)
     if len(g) != p or len(f) != p:
@@ -178,60 +169,6 @@ def move_closure_reaches(b: SignedSeq, f: Weight, g: Weight) -> bool:
                 seen.add(x)
                 frontier.append(x)
     return g in seen
-
-
-def downset(bits: tuple, f: Weight, k: int, tail: tuple | None = None) -> list:
-    """Every g <= f with entries in [-k, k], by right-to-left backtracking.
-
-    tail = (side, kw): the last kw slots hold a strict V or W wedge tail.  A
-    value v adds its slot's sign to sharp(., a, j) at the levels a = v..k-1.
-    A suffix from slot j survives while it stays below sharp(f, ., j) and the
-    slots left can close the gap d to sharp(f, ., 1), read from 0 below -k to
-    their signed count above k-1: a V slot is a unit rise of d, a W slot a
-    unit fall, so d rises by at most their V count, and at that count a V
-    slot must go where d rises, a W slot where it falls.
-    """
-    p, levels = len(bits), 2 * k
-    signs = [-1 if bit else 1 for bit in bits]
-
-    def step(row: list, j: int, v: int) -> list:  # place v at slot j
-        return row[: v + k] + [c + signs[j] for c in row[v + k :]]
-
-    fs = [[0] * levels]  # fs[p - j]: sharp(f, a, j + 1) at the levels
-    for j in range(p - 1, -1, -1):
-        fs.append(step(fs[-1], j, f[j]))
-    final = fs[-1]
-    side, kw = tail or (None, 0)
-    out, g = [], [0] * p
-
-    def visit(j: int, cur: list, nv: int):  # nv: V slots among slots 0..j
-        if j < 0:
-            out.append(tuple(g))
-            return
-        s, fj = signs[j], fs[p - j]
-        xa, xb = levels, -1  # first level over fj unmoved, last one moved
-        steps, prev = [], 0  # steps[x]: d at level x minus d below it
-        for x, c in enumerate(cur):
-            if xa == levels and c > fj[x]:
-                xa = x
-            if c + s > fj[x]:
-                xb = x
-            steps.append(final[x] - c - prev)
-            prev = final[x] - c
-        steps.append(2 * nv - j - 1 - prev)  # top of d: signed count of 0..j
-        tight = sum(r for r in steps if r > 0) == nv
-        first, last = xb + 1 - k, xa - k  # v + k in (xb, xa]
-        if p - kw <= j < p - 1 and side == "V":  # strict against its right one
-            first = max(first, g[j + 1] + 1)
-        elif p - kw <= j < p - 1:
-            last = min(last, g[j + 1] - 1)
-        for v in range(first, last + 1):
-            if not tight or s * steps[v + k] > 0:
-                g[j] = v
-                visit(j - 1, step(cur, j, v), nv - (s > 0))
-
-    visit(p - 1, [0] * levels, p - sum(bits))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -191,24 +191,15 @@ def suite_triangularity(max_rank: int = 3, max_window: int = 3) -> Suite:
 def _expand_in_canonical(eng: BklEngine, vec: dict):
     """Triangular expansion of a window vector in the T-basis.
 
-    Repeatedly peels a maximal element of the remaining support; exact
-    whenever the vector is the window projection of a global T-linear
-    combination (e.g. E_a T_f with |a| + 1 < k), in which case the
-    residue empties out.
+    Repeatedly peels the support element of least order key, which nothing
+    else in the support lies above; exact whenever the vector is the window
+    projection of a global T-linear combination (e.g. E_a T_f with
+    |a| + 1 < k), in which case the residue empties out.
     """
-    from .combinat import bruhat_leq as _leq
-
-    bext = eng.bext
     work = dict(vec)
     coeffs = {}
     while work:
-        top = None
-        for g in work:
-            if all(h == g or not _leq(bext, g, h) for h in work):
-                top = g
-                break
-        if top is None:
-            raise AssertionError("support has no maximal element")
+        top = min(work, key=lambda g: (eng.key(g), g))
         c = work.pop(top)
         coeffs[top] = c
         for g, t in eng.column(top, CANONICAL).entries.items():

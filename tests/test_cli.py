@@ -210,16 +210,16 @@ def test_failure_after_parsing_is_internal(capsys, monkeypatch):
     from bklkit import canonical
 
     def broken(self, f):
-        raise ValueError(f"no down-set for {f}")
+        raise ValueError(f"no bar row for {f}")
 
     # fresh engines, so no memoized column hides the patched method
     monkeypatch.setattr(canonical, "engine", canonical.BklEngine)
-    monkeypatch.setattr(canonical.BklEngine, "candidates", broken)
+    monkeypatch.setattr(canonical.BklEngine, "bar_row", broken)
     code, out, err = run(
         capsys, "bkl", "--seq", "01", "--f", "2,1", "--window", "4", "--no-cache"
     )
     assert code == 1 and out == "", err
-    assert "internal failure" in err and "no down-set for (2, 1)" in err, err
+    assert "internal failure" in err and "no bar row for (2, 1)" in err, err
     assert "usage error" not in err, err
 
 
