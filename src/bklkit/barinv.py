@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import SignedSeq, bruhat_leq
-from .fock import FockVector, Window, _act_raw, h0_apply, wedge_project
+from .fock import Window, _act_raw, wedge_gather
 from .scalars import Laurent, ONE, Z_QMQINV, addmul
 
 
@@ -171,16 +171,13 @@ def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
     """bar of a wedge-basis monomial, in wedge-basis coordinates.
 
     Computed through the embedding W_h -> M_{h.w0} H_0: bar the embedded
-    monomial, push the bar-invariant H_0 across, and read off the
-    coefficients of sorted-tail monomials.
+    monomial, push the bar-invariant H_0 across, and gather the result in
+    wedge coordinates.
     """
     side, kw = wwin.wedge
     mn = wwin.tensor_len
     rev = idx[:mn] + tuple(reversed(idx[mn:]))
-    raw = ext_ctx.row(rev)
-    v = FockVector(ext_ctx.window, dict(raw))
-    v = h0_apply(v, mn, kw)
-    return dict(wedge_project(v, wwin).terms)
+    return wedge_gather(ext_ctx.row(rev), mn, side, kw)
 
 
 @dataclass

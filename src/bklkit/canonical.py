@@ -26,8 +26,8 @@ from .combinat import (
     f_U,
     natural_bij,
 )
-from .fock import Window, _perms_by_length
-from .scalars import DegreeClass, Laurent, ONE, ZERO, addmul
+from .fock import Window, wedge_gather
+from .scalars import DegreeClass, ONE, ZERO, addmul
 
 CANONICAL = "canonical"
 DUAL = "dual"
@@ -222,49 +222,36 @@ def _agree(a: dict, b: dict, keep, what: str) -> None:
 
 
 def tensor_to_wedge_canonical(
-    b: SignedSeq, side: str, kw: int, g: tuple, f: tuple, k: int | None = None
-) -> Laurent:
-    """Canonical wedge entry from the tensor-level table (alternating sum).
+    b: SignedSeq, side: str, kw: int, f: tuple, k: int | None = None
+) -> dict:
+    """The canonical wedge column of f, checked against the tensor level.
 
-    Evaluates sum over tau of (-q)^{l(w0 tau)} t_{g.tau, f.w0} in the
-    extended tensor window and insists it equals the wedge-window entry;
-    a mismatch is a hard error.
+    The extended canonical column of f.w0 times H_0, gathered in wedge
+    coordinates, must equal the wedge column entry by entry; a mismatch
+    is a hard error.  Returns the wedge column.
     """
     k = k if k is not None else auto_level(b, f, kw)
     mn = len(b)
     wwin = Window(b, k, (side, kw))
-    ext = wwin.extended()
+    f = tuple(f)
     f_w0 = f[:mn] + tuple(reversed(f[mn:]))
-    col = engine(ext).column(f_w0, CANONICAL)
-    lw0 = kw * (kw - 1) // 2
-    sums: dict = {}
-    for tau, (length, _, _) in _perms_by_length(kw).items():
-        gt = f[:0] + g[:mn] + tuple(g[mn + tau[i]] for i in range(kw))
-        e = lw0 - length  # l(w0 tau)
-        c = col.entries.get(gt, ZERO).shift(e)
-        addmul(sums, None, -c if e % 2 else c)
-    total = sums.get(None, ZERO)
-    direct = engine(wwin).column(tuple(f), CANONICAL).entries.get(tuple(g), ZERO)
-    if total != direct:
-        raise AssertionError(
-            f"tensor-vs-wedge canonical mismatch at g={g}, f={f}: "
-            f"{total!r} != {direct!r}"
-        )
-    return total
+    ext = engine(wwin.extended()).column(f_w0, CANONICAL).entries
+    direct = engine(wwin).column(f, CANONICAL).entries
+    _agree(wedge_gather(ext, mn, side, kw), direct, None, f"tensor-vs-wedge canonical of f={f}")
+    return direct
 
 
 def wedge_vs_tensor_dual(
-    b: SignedSeq, side: str, kw: int, g: tuple, f: tuple, k: int | None = None
-) -> Laurent:
-    """Dual wedge entry equals the tensor entry at the same sorted indices."""
+    b: SignedSeq, side: str, kw: int, f: tuple, k: int | None = None
+) -> dict:
+    """The dual wedge column of f equals the tensor column at the same
+    sorted indices; a mismatch is a hard error.  Returns the wedge column."""
     k = k if k is not None else auto_level(b, f, kw)
     wwin = Window(b, k, (side, kw))
-    direct = engine(wwin).column(tuple(f), DUAL).entries.get(tuple(g), ZERO)
-    tensor = engine(wwin.extended()).column(tuple(f), DUAL).entries.get(tuple(g), ZERO)
-    if direct != tensor:
-        raise AssertionError(
-            f"wedge-vs-tensor dual mismatch at g={g}, f={f}: {direct!r} != {tensor!r}"
-        )
+    f = tuple(f)
+    direct = engine(wwin).column(f, DUAL).entries
+    tensor = engine(wwin.extended()).column(f, DUAL).entries
+    _agree(direct, tensor, wwin.valid_index, f"wedge-vs-tensor dual of f={f}")
     return direct
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import CANONICAL, DUAL, auto_level, bkl
+from .canonical import CANONICAL, DUAL, auto_level, bkl, column_to_parabolic
 from .combinat import (
     SignedSeq,
     f_to_weight,
@@ -19,6 +19,7 @@ from .combinat import (
     lambda_U,
     weight_to_f,
 )
+from .scalars import Laurent, ZERO
 
 IRREDUCIBLE = "irreducible"
 TILTING = "tilting"
@@ -77,27 +78,6 @@ def _swap_weight(mu: tuple, kappa: int) -> tuple:
     return tuple(g)
 
 
-def _verma_dict_to_parabolic(mdict: dict, kappa: int, tie_bump: int, k: int) -> dict:
-    """Telescope a q=1 Verma-coefficient dict into parabolic-N coefficients.
-
-    mdict maps f-indices to integers; a tied index contributes to itself
-    and to its bump (down for a (0,1) pair, up for a (1,0) pair).  The
-    parabolic characters are linearly independent, so two Verma dicts
-    define the same formal character exactly when these agree.
-    """
-    out: dict = {}
-    for h, mult in mdict.items():
-        out[h] = out.get(h, 0) + mult
-        if h[kappa - 1] == h[kappa]:
-            hb = list(h)
-            hb[kappa - 1] += tie_bump
-            hb[kappa] += tie_bump
-            hb = tuple(hb)
-            if max(abs(v) for v in hb) <= k:
-                out[hb] = out.get(hb, 0) + mult
-    return {h: v for h, v in out.items() if v}
-
-
 def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = None):
     """A character computed on both sides of an odd reflection must agree.
 
@@ -114,24 +94,25 @@ def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = N
     lam = tuple(lam)
     f = weight_to_f(b, lam)
     k = k if k is not None else auto_level(b, f) + 1
-    tie_bump = 1 if bp.bits[kappa - 1] == 1 else -1  # (1,0) ties bump up
+    pair = "VW" if bp.bits[kappa - 1] == 0 else "WV"  # ties bump along bp's pair
     for kind, move in ((IRREDUCIBLE, lambda_L), (TILTING, lambda_U)):
         here = _expansion(b, lam, kind, k)
         lam_p = move(b, kappa, lam)
         there = _expansion(bp, lam_p, kind, k)
         rewritten = {}
         for mu, mult in here.terms.items():
-            rewritten[_swap_weight(weight_to_f(b, mu), kappa)] = mult
-        direct = {weight_to_f(bp, mu): mult for mu, mult in there.terms.items()}
-        na = _verma_dict_to_parabolic(rewritten, kappa, tie_bump, k)
-        nb = _verma_dict_to_parabolic(direct, kappa, tie_bump, k)
+            rewritten[_swap_weight(weight_to_f(b, mu), kappa)] = Laurent(mult)
+        direct = {weight_to_f(bp, mu): Laurent(mult) for mu, mult in there.terms.items()}
+        na = column_to_parabolic(rewritten, kappa, pair, "N", k)
+        nb = column_to_parabolic(direct, kappa, pair, "N", k)
         safe = k - 1
         for h in set(na) | set(nb):
             if max(abs(v) for v in h) > safe:
                 continue
-            if na.get(h, 0) != nb.get(h, 0):
+            x, y = na.get(h, ZERO).ev(1), nb.get(h, ZERO).ev(1)
+            if x != y:
                 raise AssertionError(
                     f"odd reflection mismatch for {kind} at lam={lam}, b={b}, "
-                    f"kappa={kappa}, index {h}: {na.get(h, 0)} vs {nb.get(h, 0)}"
+                    f"kappa={kappa}, index {h}: {x} vs {y}"
                 )
     return True

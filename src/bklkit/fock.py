@@ -339,15 +339,26 @@ def wedge_project(v: FockVector, wwin: Window) -> FockVector:
     """Inverse of wedge_embed on its image: extract sorted-tail coefficients."""
     if wwin.wedge is None:
         raise ValueError("window has no wedge part")
-    side, kw = wwin.wedge
-    mn = wwin.tensor_len
+    return FockVector(wwin, {f: c for f, c in v.terms.items() if wwin.valid_index(f)})
+
+
+def wedge_gather(terms: dict, mn: int, side: str, kw: int) -> dict:
+    """Wedge coordinates of x H_0 for x = sum c_g M_g on the extended window.
+
+    Let base be the tail of g in ascent order (increasing for V, decreasing
+    for W).  Each letter of a reduced word from base to the tail is an
+    ascent, so M_g = M_{head+base} H_s, and H_s H_0 = (-q)^{l(s)} H_0
+    gives M_g H_0 = (-q)^l M_{head+base} H_0, the wedge vector of the
+    sorted tail, where l counts the tail pairs out of ascent order.  A
+    tail with a repeated entry is killed by H_0.
+    """
+    desc = side == "V"
     out: dict = {}
-    for f, c in v.terms.items():
-        tail = f[mn:]
-        if side == "V":
-            ok = all(tail[i] > tail[i + 1] for i in range(kw - 1))
-        else:
-            ok = all(tail[i] < tail[i + 1] for i in range(kw - 1))
-        if ok:
-            out[f] = c
-    return FockVector(wwin, out)
+    for g, c in terms.items():
+        tail = g[mn:]
+        if len(set(tail)) < kw:
+            continue
+        l = sum((x > y) == desc for i, x in enumerate(tail) for y in tail[i + 1 :])
+        x = c.shift(l)
+        addmul(out, g[:mn] + tuple(sorted(tail, reverse=desc)), -x if l % 2 else x)
+    return out

@@ -72,14 +72,7 @@ def _partitions_up_to(n: int):
             rec(rest - p, p, acc + [p])
 
     rec(n, n, [])
-    # keep every partition of every size <= n
-    seen = set()
-    uniq = []
-    for lam in out:
-        if lam not in seen:
-            seen.add(lam)
-            uniq.append(lam)
-    return uniq
+    return out
 
 
 def suite_rank2(max_window: int = 6) -> Suite:
@@ -415,8 +408,8 @@ def suite_truncation(max_rank: int = 3, max_window: int = 3) -> Suite:
 
 
 def suite_tensor_wedge(max_rank: int = 2) -> Suite:
-    """Wedge duals restrict tensor duals; wedge canonicals are the
-    alternating tensor sums."""
+    """Wedge duals restrict tensor duals; wedge canonicals are tensor
+    canonicals times H_0, gathered in wedge coordinates."""
     s = Suite()
     seqs = []
     for rank in range(0, max_rank + 1):
@@ -432,12 +425,8 @@ def suite_tensor_wedge(max_rank: int = 2) -> Suite:
                     for f in win.basis():
                         if max(abs(v) for v in f) > 1:
                             continue
-                        col = engine(win).column(f, DUAL).entries
-                        for g in col:
-                            wedge_vs_tensor_dual(b, side, kw, g, f, k=k)
-                        colt = engine(win).column(f, CANONICAL).entries
-                        for g in colt:
-                            tensor_to_wedge_canonical(b, side, kw, g, f, k=k)
+                        wedge_vs_tensor_dual(b, side, kw, f, k=k)
+                        tensor_to_wedge_canonical(b, side, kw, f, k=k)
                         n += 1
                     return f"{n} columns"
 

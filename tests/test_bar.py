@@ -298,8 +298,9 @@ def test_check_unitriangular_rejects_a_non_lower_entry():
 
 
 def digest_windows():
-    """Every tensor window with m+n <= 3 at k <= 3, then every wedge window
-    with m+n <= 2, kw <= 2 at k <= 2; keyed "b|k|side:kw"."""
+    """Every tensor window with m+n <= 3 at k <= 3, every wedge window with
+    m+n <= 2, kw <= 2 at k <= 2, then every kw = 3 wedge window with
+    m+n <= 1 at k <= 2; keyed "b|k|side:kw"."""
     for rank in range(1, 4):
         for m in range(rank + 1):
             for b in SignedSeq.all_sequences(m, rank - m):
@@ -312,6 +313,12 @@ def digest_windows():
                     for kw in (1, 2):
                         for k in (1, 2):
                             yield f"{b}|{k}|{side}:{kw}", Window(b, k, (side, kw))
+    for rank in range(2):
+        for m in range(rank + 1):
+            for b in SignedSeq.all_sequences(m, rank - m):
+                for side in ("V", "W"):
+                    for k in (1, 2):
+                        yield f"{b}|{k}|{side}:3", Window(b, k, (side, 3))
 
 
 def test_bar_tables_match_recorded_digests():

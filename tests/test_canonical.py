@@ -144,12 +144,15 @@ def test_key_is_strictly_monotone():
 
 def test_column_tables_match_recorded_digests():
     # sha256 of each canonical and dual table's sorted JSON over every
-    # tensor window with m+n <= 3 at k <= 3 and every wedge window with
-    # m+n <= 2, kw <= 2 at k <= 2, recorded before the solve pushed bar
-    # rows through addmul; any change in any coefficient shows here
+    # tensor window with m+n <= 3 at k <= 3, every wedge window with
+    # m+n <= 2, kw <= 2 at k <= 2 and every kw = 3 wedge window with
+    # m+n <= 1 at k <= 2, recorded before the solve pushed bar rows through
+    # addmul (the kw = 3 ones before wedge rows were gathered in closed
+    # form); any change in any coefficient shows here
     want = json.loads((Path(__file__).parent / "column_digests.json").read_text())
     got = {}
-    for win in candidate_windows(3, 3, 2, 2, 2):
+    kw3 = [w for w in candidate_windows(0, 0, 1, 3, 2) if w.wedge[1] == 3]
+    for win in [*candidate_windows(3, 3, 2, 2, 2), *kw3]:
         wedge = f"{win.wedge[0]}:{win.wedge[1]}" if win.wedge else ""
         for kind in (CANONICAL, DUAL):
             table = BklTable.over_window(win, kind).to_json()
@@ -291,12 +294,9 @@ def test_tensor_vs_wedge():
     win = Window(b, 3, ("V", 2))
     eng = engine(win)
     for f in [(1, 2, 1), (0, 1, 0), (1, 1, -1)]:
-        dcol = eng.column(f, DUAL).entries
-        for g in dcol:
-            assert wedge_vs_tensor_dual(b, "V", 2, g, f, k=3) == dcol[g]
+        assert wedge_vs_tensor_dual(b, "V", 2, f, k=3) == eng.column(f, DUAL).entries
         tcol = eng.column(f, CANONICAL).entries
-        for g in tcol:
-            assert tensor_to_wedge_canonical(b, "V", 2, g, f, k=3) == tcol[g]
+        assert tensor_to_wedge_canonical(b, "V", 2, f, k=3) == tcol
 
 
 def test_parabolic_rank2_facts():

@@ -14,6 +14,7 @@ from bklkit.fock import (
     h0_apply,
     hecke_act,
     wedge_embed,
+    wedge_gather,
     wedge_project,
 )
 from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, gauss_fact, q_power
@@ -208,6 +209,28 @@ def test_project_kills_repeats():
     wwin = Window(SignedSeq.parse(""), 3, ("V", 2))
     ext = wwin.extended()
     assert not wedge_project(mono(ext, (1, 1)), wwin)
+
+
+def test_wedge_gather_matches_h0_reference():
+    # the closed-form gather against kw! Hecke passes and a projection: every
+    # monomial of the extended windows with m+n <= 1, kw <= 3 at k <= 2
+    # (repeated tail entries included), then seeded random sums
+    rng = random.Random(9)
+    for bits in ((), (0,), (1,)):
+        for side, kw, k in product("VW", (1, 2, 3), (1, 2)):
+            wwin = Window(SignedSeq(bits), k, (side, kw))
+            ext = wwin.extended()
+            basis = list(ext.basis())
+            vecs = [mono(ext, g) for g in basis]
+            for _ in range(3):
+                picks = rng.sample(basis, min(6, len(basis)))
+                vecs.append(FockVector(ext, {
+                    g: Laurent({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))})
+                    for g in picks
+                }))
+            for x in vecs:
+                want = wedge_project(h0_apply(x, len(bits), kw), wwin).terms
+                assert wedge_gather(x.terms, len(bits), side, kw) == want, (wwin, x)
 
 
 def test_wedge_action_formulas_match_embedding():
