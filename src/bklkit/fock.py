@@ -359,6 +359,6 @@ def wedge_gather(terms: dict, mn: int, side: str, kw: int) -> dict:
         if len(set(tail)) < kw:
             continue
         l = sum((x > y) == desc for i, x in enumerate(tail) for y in tail[i + 1 :])
-        x = c.shift(l)
-        addmul(out, g[:mn] + tuple(sorted(tail, reverse=desc)), -x if l % 2 else x)
+        v = c.shift(l)
+        addmul(out, g[:mn] + tuple(sorted(tail, reverse=desc)), -v if l % 2 else v)
     return out

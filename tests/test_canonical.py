@@ -299,6 +299,29 @@ def test_tensor_vs_wedge():
         assert tensor_to_wedge_canonical(b, "V", 2, f, k=3) == tcol
 
 
+def test_tensor_vs_wedge_checks_compare_whole_columns(monkeypatch):
+    # a tensor-side entry at a wedge index the wedge column lacks is a
+    # mismatch; one at a tail with a repeated entry is not compared
+    b, k, f = SignedSeq.parse("0"), 3, (1, 2, 1)
+    wwin = Window(b, k, ("V", 2))
+    ext = engine(wwin.extended())
+    for kind, check, tf in (
+        (DUAL, wedge_vs_tensor_dual, f),
+        (CANONICAL, tensor_to_wedge_canonical, (1, 1, 2)),
+    ):
+        good = ext.column(tf, kind)
+        wcol = engine(wwin).column(f, kind).entries
+        extra = next(g for g in wwin.basis() if g not in wcol and g not in good.entries)
+        for entries in ({**good.entries, (0, 1, 1): ONE}, {**good.entries, extra: ONE}):
+            col = BklColumn(good.window, tf, kind, entries)
+            monkeypatch.setattr(ext, "_columns", {**ext._columns, (tf, kind): col})
+            if extra in entries:
+                with pytest.raises(AssertionError, match="mismatch"):
+                    check(b, "V", 2, f, k=k)
+            else:
+                assert check(b, "V", 2, f, k=k) == wcol
+
+
 def test_parabolic_rank2_facts():
     # L_(a,a) is exactly N_(a,a); T_(a,a) is exactly U_(a,a)
     b = SignedSeq.parse("01")
