@@ -24,6 +24,13 @@ moves asks for anyway, so it is read from that cache, not recomputed.
 The right-to-left recursion bar_row_rl prepends factors with the same
 routine on F actions, mirrored ends, and no cache.
 
+Every row and bracket a BarContext stores, and every wedge row an engine
+stores on top of it, goes through BarContext.share: the context keeps one
+Laurent object per distinct value and one tuple per index, for as long as
+the context lives.  A large window stores millions of entries but only a
+few thousand distinct polynomials.  The sharing is safe because a Laurent
+is immutable and addmul never mutates its inputs.
+
 Both conventions were pinned against the Hecke-algebra bar on pure tensor
 blocks and the rank-2 closed forms, and are guarded by the involution,
 equivariance and uniqueness test suites.
@@ -84,9 +91,16 @@ class BarContext:
         self.window = window
         self.bits = window.b.bits
         self.k = window.k
-        self._rows: dict = {(): {(): ONE}}
+        self._keys: dict = {}  # index tuple -> its one stored copy
+        self._values: dict = {}  # Laurent -> its one stored copy
+        self._rows: dict = {(): self.share({(): ONE})}
         self._bracket: dict = {}
         self._prefix_windows = {0: None}
+
+    def share(self, d: dict) -> dict:
+        """d with every key and value replaced by this context's copy of it."""
+        keys, values = self._keys, self._values
+        return {keys.setdefault(g, g): values.setdefault(c, c) for g, c in d.items()}
 
     def _pwin(self, p: int) -> Window:
         w = self._prefix_windows.get(p)
@@ -108,7 +122,7 @@ class BarContext:
             def inner(i2, j2):
                 return self._bracket_app(up, i2, j2, prefix)
 
-            hit = _nested(act, i, j, self.row(prefix), up, inner)
+            hit = self.share(_nested(act, i, j, self.row(prefix), up, inner))
             self._bracket[key] = hit
         return hit
 
@@ -131,7 +145,7 @@ class BarContext:
             return self._bracket_app(up, i, j, prefix)
 
         _add_moves(out, c, self.k, up, bracket, False)
-        self._rows[f] = out
+        out = self._rows[f] = self.share(out)
         return out
 
 

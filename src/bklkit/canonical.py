@@ -7,6 +7,13 @@ q^-1 Z[q^-1].  Windowed columns coincide with the global Brundan-
 Kazhdan-Lusztig polynomials on the window, which is what this module
 returns, always together with the window it used.
 
+engine(window) caches the engines of the two most recently used windows,
+enough for every pair of windows a check alternates between (k and k+1,
+a wedge window and its extension, b and its odd swap).  An engine's bar
+rows share their values and index tuples through its BarContext (see
+barinv); its columns are keyed by those shared tuples, but their values
+are not interned.
+
 Also here: parabolic N/U coordinates for an adjacent pair of sequences,
 the transports that relate the two sequences, truncation comparisons for
 q-wedge tails, and the tail-conjugating super-duality transport.
@@ -85,7 +92,7 @@ class BklEngine:
             return self._ctx.row(f)
         row = self._wedge_rows.get(f)
         if row is None:
-            row = wedge_bar_row(self.window, self._ctx, f)
+            row = self._ctx.share(wedge_bar_row(self.window, self._ctx, f))
             self._wedge_rows[f] = row
         return row
 
@@ -157,8 +164,9 @@ class BklEngine:
         return {f: self.column(f, kind).entries for f in self.window.basis()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def engine(window: Window) -> BklEngine:
+    """The engine of a window; the two most recently used ones stay cached."""
     return BklEngine(window)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import CANONICAL, DUAL, auto_level, bkl, column_to_parabolic
+from .canonical import CANONICAL, DUAL, _pair_kind, auto_level, bkl, column_to_parabolic
 from .combinat import (
     SignedSeq,
     f_to_weight,
@@ -94,7 +94,7 @@ def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = N
     lam = tuple(lam)
     f = weight_to_f(b, lam)
     k = k if k is not None else auto_level(b, f) + 1
-    pair = "VW" if bp.bits[kappa - 1] == 0 else "WV"  # ties bump along bp's pair
+    pair = _pair_kind(bp, kappa)  # ties bump along bp's pair
     for kind, move in ((IRREDUCIBLE, lambda_L), (TILTING, lambda_U)):
         here = _expansion(b, lam, kind, k)
         lam_p = move(b, kappa, lam)

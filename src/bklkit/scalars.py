@@ -59,7 +59,11 @@ class Laurent:
         return isinstance(other, Laurent) and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        # a constant equals its int, so it must hash like it (ZERO like 0)
+        c = self.c
+        if not c or (len(c) == 1 and 0 in c):
+            return hash(c.get(0, 0))
+        return hash(frozenset(c.items()))
 
     def __repr__(self) -> str:
         if not self.c:
@@ -247,7 +251,8 @@ def addmul(acc: dict, key, x: Laurent, y: Laurent | None = None) -> None:
     """acc[key] += x*y (x alone when y is None); a zero sum drops the key.
 
     The sum is a new Laurent: neither x, y nor the value already stored
-    under key is mutated, because bar rows and columns share coefficients.
+    under key is mutated, because bar rows and columns share coefficients
+    (one object per distinct value within a BarContext).
     """
     old = acc.get(key)
     if old is None:

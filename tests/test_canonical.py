@@ -15,6 +15,7 @@ from bklkit.canonical import (
     BklEngine,
     BklTable,
     TriangularityError,
+    _pair_kind,
     adjacency_transport,
     auto_level,
     bkl,
@@ -160,6 +161,43 @@ def test_column_tables_match_recorded_digests():
                 json.dumps(table, sort_keys=True).encode()
             ).hexdigest()
     assert got == want
+
+
+def test_engine_cache_keeps_the_two_most_recent_windows():
+    engine.cache_clear()
+    first, second, third = (Window(SignedSeq.parse("01"), k) for k in (2, 3, 4))
+    eng = engine(first)
+    engine(second)
+    engine(third)
+    assert engine.cache_info().currsize == 2
+    assert engine(first) is not eng  # rebuilt after two newer windows
+
+
+def test_bkl_stability_check_reuses_the_k_engine():
+    engine.cache_clear()
+    b, f = SignedSeq.parse("01"), (1, 1)
+    k = auto_level(b, f)
+    eng = engine(Window(b, k))
+    col = bkl(b, f, DUAL)
+    assert col is eng.column(f, DUAL)
+    # one miss for the k engine above, one for the k+1 window of the check
+    assert engine.cache_info().misses == 2
+    assert engine(Window(b, k)) is eng
+
+
+def test_bar_rows_share_values_and_index_tuples():
+    for win in (Window(SignedSeq.parse("0101"), 2), Window(SignedSeq.parse("01"), 2, ("V", 2))):
+        eng = BklEngine(win)
+        for f in win.basis():
+            eng.column(f, DUAL)
+        ctx = eng._ctx
+        stored = [*ctx._rows.values(), *ctx._bracket.values(), *eng._wedge_rows.values()]
+        seen: dict = {}
+        for d in stored:
+            for g, c in d.items():
+                assert ctx._keys[g] is g
+                assert seen.setdefault(c, c) is c, (win, g, c)
+        assert len(seen) < sum(map(len, stored)) // 10, win
 
 
 def test_inconsistent_bar_row_is_a_triangularity_error():
@@ -332,6 +370,23 @@ def test_parabolic_rank2_facts():
     lch, tch = parabolic_columns(b, 1, (0, 2), k=5)
     assert lch == {(0, 2): ONE}
     assert tch == {(0, 2): ONE}
+
+
+def test_tied_rank2_columns_are_one_parabolic_vector():
+    # L_(a,a) = N_(a,a) and T_(a,a) = U_(a,a) on the safe box when ties
+    # bump along the pair of b itself, and not along the other pair; this
+    # pins the direction of _pair_kind, which odd_reflection_check uses
+    k, f = 4, (0, 0)
+    for bs in ("01", "10"):
+        b = SignedSeq.parse(bs)
+        eng = engine(Window(b, k))
+        right = _pair_kind(b, 1)
+        for kind, basis in ((DUAL, "N"), (CANONICAL, "U")):
+            col = eng.column(f, kind).entries
+            for pair in ("VW", "WV"):
+                out = column_to_parabolic(col, 1, pair, basis, k)
+                safe = {g: c for g, c in out.items() if max(map(abs, g)) < k}
+                assert (safe == {f: ONE}) == (pair == right), (bs, kind, pair)
 
 
 def test_parabolic_matches_after_basis_change():

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from bklkit import characters
+from bklkit.canonical import column_to_parabolic
 from bklkit.characters import (
     IRREDUCIBLE,
     TILTING,
@@ -85,6 +87,23 @@ def test_odd_reflection_21():
         b = SignedSeq.parse(bs)
         for f in [(1, 1, 0), (0, 0, 0), (1, 0, 1)]:
             assert odd_reflection_check(b, kappa, f_to_weight(b, f))
+
+
+def test_odd_reflection_bumps_ties_along_the_reflected_pair(monkeypatch):
+    # the N telescoping runs along the pair of the reflected sequence bp:
+    # "WV" when b = 01 (bp = 10), "VW" when b = 10
+    seen = []
+
+    def recording(entries, kappa, pair_kind, basis, k):
+        seen.append(pair_kind)
+        return column_to_parabolic(entries, kappa, pair_kind, basis, k)
+
+    monkeypatch.setattr(characters, "column_to_parabolic", recording)
+    for bs, want in (("01", "WV"), ("10", "VW")):
+        b = SignedSeq.parse(bs)
+        seen.clear()
+        assert odd_reflection_check(b, 1, f_to_weight(b, (1, 1)))
+        assert seen and set(seen) == {want}, bs
 
 
 def test_odd_reflection_needs_mixed_pair():

@@ -2,6 +2,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bklkit.barinv import BarContext
+from bklkit.combinat import SignedSeq
+from bklkit.fock import Window
 from bklkit.scalars import (
     DegreeClass,
     ExactDivisionError,
@@ -78,11 +81,22 @@ def test_addmul_drops_a_cancelled_key():
 
 @given(laurents, laurents, laurents)
 def test_addmul_never_mutates_its_inputs(stored, x, y):
+    # stored and x as the one copy of their value that a BarContext keeps,
+    # each held by two rows: an addmul reading them changes no row
+    ctx = BarContext(Window(SignedSeq.parse("0"), 1))
+    rows = [
+        ctx.share({(0,): stored, (1,): x}),
+        ctx.share({(1,): Laurent(dict(stored.c)), (0,): Laurent(dict(x.c))}),
+    ]
+    stored, x = rows[0][(0,)], rows[0][(1,)]
+    assert rows[1][(1,)] is stored and rows[1][(0,)] is x
+    before = [{g: dict(c.c) for g, c in row.items()} for row in rows]
     snapshot = (dict(stored.c), dict(x.c), dict(y.c))
     acc = {"k": stored} if stored else {}
     addmul(acc, "k", x, y)
     addmul(acc, "k", x)
     assert (dict(stored.c), dict(x.c), dict(y.c)) == snapshot
+    assert [{g: dict(c.c) for g, c in row.items()} for row in rows] == before
     want = stored + x * y + x
     assert acc == ({"k": want} if want else {})
     # an absent key with y None may store x itself: rows share coefficients
@@ -91,6 +105,14 @@ def test_addmul_never_mutates_its_inputs(stored, x, y):
     addmul(fresh, "k", y)
     assert dict(x.c) == snapshot[1]
     assert fresh == ({"k": x + y} if x + y else {})
+
+
+def test_a_constant_hashes_like_its_int():
+    # equal objects hash alike, so a constant is found where its int is
+    for v in (0, 1, -1, 3, -2):
+        assert Laurent(v) == v and hash(Laurent(v)) == hash(v)
+    assert 3 in {Laurent(3)} and 0 in {ZERO} and Laurent(-1) in {-1}
+    assert {ONE: "one"}[1] == "one"
 
 
 def test_bar_examples():
