@@ -11,8 +11,8 @@ engine(window) caches the engines of the two most recently used windows,
 enough for every pair of windows a check alternates between (k and k+1,
 a wedge window and its extension, b and its odd swap).  An engine's bar
 rows share their values and index tuples through its BarContext (see
-barinv); its columns are keyed by those shared tuples, but their values
-are not interned.
+barinv); its columns reuse those tuples as keys (all but the diagonal
+one), but their values are not interned.
 
 Also here: parabolic N/U coordinates for an adjacent pair of sequences,
 the transports that relate the two sequences, truncation comparisons for
