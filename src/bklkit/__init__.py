@@ -5,7 +5,7 @@ from .combinat import SignedSeq, WedgeIndex
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
 from .fock import FockVector, Window
-from .scalars import Laurent, RationalQ, gauss_fact, gauss_int
+from .scalars import Laurent, gauss_fact, gauss_int
 
 __all__ = [
     "SignedSeq",
@@ -19,7 +19,6 @@ __all__ = [
     "FockVector",
     "Window",
     "Laurent",
-    "RationalQ",
     "gauss_int",
     "gauss_fact",
 ]

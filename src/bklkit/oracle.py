@@ -2,8 +2,9 @@
 
 A self-contained Iwahori-Hecke engine computing the classical
 Kazhdan-Lusztig basis (normalization matched to this package's q), the
-rank-2 closed forms for a mixed pair, and a brute-force solver that
-re-derives the bar table of a tiny window from linear constraints alone.
+rank-2 closed forms for a mixed pair, and a certificate that the bar table
+of a tiny window is the only solution of the linear constraints that
+define it: exact residuals in Z[q, q^-1] and a rank computed modulo a prime.
 All of it exists to cross-check the main pipeline, not to feed it.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import permutations
 from .barinv import BarContext
 from .combinat import SignedSeq, bruhat_leq, wt_signature
 from .fock import FockVector, Window, _act_raw, _weight_classes
-from .scalars import Laurent, ONE, RationalQ, ZERO, Z_QMQINV, q_power
+from .scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul, q_power
 
 # ---------------------------------------------------------------------------
 # Symmetric group helpers (0-based one-line notation)
@@ -202,19 +203,55 @@ def rank2_forms(case: str, f: tuple, k: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force uniqueness of the bar involution on a tiny window
+# Uniqueness of the bar involution on a tiny window, certified
 # ---------------------------------------------------------------------------
 
 
+_PRIME = 2**61 - 1  # the rank check works in Z/_PRIME at q = 2
+
+
+def _at_two(c: Laurent) -> int:
+    """The image of c under Z[q, q^-1] -> Z/_PRIME, q -> 2 (a ring map)."""
+    return sum(v * pow(2, e, _PRIME) for e, v in c.c.items()) % _PRIME
+
+
+def _rank_mod_prime(rows: list) -> int:
+    """Rank over Z/_PRIME of sparse rows {column: int}, by elimination."""
+    pivots: dict = {}  # pivot column -> row normalized to 1 there
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            j = min(row)
+            if j not in pivots:
+                inv = pow(row[j], -1, _PRIME)
+                pivots[j] = {jj: v * inv % _PRIME for jj, v in row.items()}
+                break
+            factor = row[j]
+            for jj, v in pivots[j].items():
+                w = (row.get(jj, 0) - factor * v) % _PRIME
+                if w:
+                    row[jj] = w
+                else:
+                    row.pop(jj, None)
+    return len(pivots)
+
+
 def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
-    """Re-derive the bar table from linear constraints and compare.
+    """Certify that the bar table is the only equivariant unitriangular map.
 
     Unknowns: the below-diagonal coefficients of an antilinear
     unitriangular map psi.  Constraints: psi(X M_f) = X psi(M_f) for every
     basis index f and every Chevalley generator X = E_a, F_a acting inside
-    the window.  The system is solved over Q(q) by Gaussian elimination;
-    the run fails if the solution is not unique or differs from the bar
-    table computed by the quasi-R-matrix recursion.
+    the window.  The certificate has two parts:
+
+    - the bar table computed by the quasi-R-matrix recursion is unitriangular
+      and leaves an exactly zero Laurent residual in every constraint;
+    - the coefficient matrix has full column rank at q = 2 modulo the prime
+      2^61 - 1.  A minor is a Laurent polynomial and evaluation is a ring
+      map, so a nonzero minor there is a nonzero minor over Q(q), and the
+      table is the unique solution.
+
+    A rank that falls short at that point fails the run; it never passes.
     """
     if window.wedge is not None:
         raise ValueError("uniqueness solver works on tensor windows")
@@ -225,109 +262,64 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
     ctx = BarContext(window)
     classes = _weight_classes(window)
 
-    unknowns = []  # (g, f) pairs with g strictly below f
-    index = {}
+    index = {}  # the unknowns: (g, f) with g strictly below f -> column
     for f in basis:
         for g in classes[wt_signature(b, f)]:
             if g != f and bruhat_leq(b, g, f):
-                index[(g, f)] = len(unknowns)
-                unknowns.append((g, f))
+                index[(g, f)] = len(index)
 
-    rows = []  # (coeff dict, rhs RationalQ)
+    table = [ZERO] * len(index)
+    for f in basis:
+        row = ctx.row(f)
+        if row.get(f) != ONE:
+            raise AssertionError(f"bar row of {f} has diagonal {row.get(f)!r}")
+        for g, c in row.items():
+            j = index.get((g, f))
+            if j is not None:
+                table[j] = c
+            elif g != f:
+                raise AssertionError(f"bar row of {f} is not unitriangular at {g}: {c!r}")
 
+    rows = []  # the constraints' coefficients, evaluated by _at_two
     gens = [("E", a) for a in range(-window.k, window.k)] + [
         ("F", a) for a in range(-window.k, window.k)
     ]
     for f in basis:
         for kind, a in gens:
             moved = _act_raw(window, {f: ONE}, kind, a, project=True)
-            # lhs: psi(X M_f) = sum_h bar(c_h) psi(M_h)
-            # rhs: X psi(M_f) = sum_g psi_{gf} X M_g
-            lhs_const: dict = {}
-            lhs_lin: dict = {}
+            lin: dict = {}  # output index -> {unknown: coefficient}
+            rhs: dict = {}  # output index -> constant term
+            # psi(X M_f) = sum_h bar(c_h) (M_h + sum_g x_gh M_g)
             for h, c in moved.items():
-                cb = RationalQ(c.bar())
-                # psi(M_h) = M_h + sum of unknowns below h
-                lhs_const[h] = lhs_const.get(h, RationalQ(ZERO)) + cb
+                cb = c.bar()
+                addmul(rhs, h, c - cb)
                 for g in classes[wt_signature(b, h)]:
-                    jj = index.get((g, h))
-                    if jj is not None:
-                        lhs_lin.setdefault(g, {})
-                        lhs_lin[g][jj] = lhs_lin[g].get(jj, RationalQ(ZERO)) + cb
-            rhs_const: dict = {}
-            rhs_lin: dict = {}
-            for h, c in moved.items():
-                rhs_const[h] = rhs_const.get(h, RationalQ(ZERO)) + RationalQ(c)
+                    j = index.get((g, h))
+                    if j is not None:
+                        addmul(lin.setdefault(g, {}), j, cb)
+            # X psi(M_f) = X M_f + sum_g x_gf X M_g
             for g in classes[wt_signature(b, f)]:
-                jj = index.get((g, f))
-                if jj is None:
-                    continue
-                moved_g = _act_raw(window, {g: ONE}, kind, a, project=True)
-                for h, c in moved_g.items():
-                    rhs_lin.setdefault(h, {})
-                    rhs_lin[h][jj] = rhs_lin[h].get(jj, RationalQ(ZERO)) + RationalQ(c)
-            keys = set(lhs_const) | set(lhs_lin) | set(rhs_const) | set(rhs_lin)
-            for hkey in keys:
-                coeffs: dict = {}
-                for j, v in lhs_lin.get(hkey, {}).items():
-                    coeffs[j] = coeffs.get(j, RationalQ(ZERO)) + v
-                for j, v in rhs_lin.get(hkey, {}).items():
-                    coeffs[j] = coeffs.get(j, RationalQ(ZERO)) - v
-                rhs = rhs_const.get(hkey, RationalQ(ZERO)) - lhs_const.get(
-                    hkey, RationalQ(ZERO)
-                )
-                if coeffs or rhs:
-                    rows.append((coeffs, rhs))
+                j = index.get((g, f))
+                if j is not None:
+                    for h, c in _act_raw(window, {g: ONE}, kind, a, project=True).items():
+                        addmul(lin.setdefault(h, {}), j, -c)
+            for h in set(lin) | set(rhs):
+                coeffs = lin.get(h, {})
+                residual: dict = {}
+                addmul(residual, h, -rhs.get(h, ZERO))
+                for j, c in coeffs.items():
+                    addmul(residual, h, c, table[j])
+                if residual:
+                    raise AssertionError(
+                        f"bar table leaves residual {residual[h]!r} at {h} in "
+                        f"psi({kind}_{a} M_{f}) = {kind}_{a} psi(M_{f})"
+                    )
+                rows.append({j: _at_two(c) for j, c in coeffs.items()})
 
-    # Gaussian elimination over Q(q)
-    pivots: dict = {}  # unknown index -> (coeffs, rhs) with that pivot normalized
-    for coeffs, rhs in rows:
-        coeffs = {j: v for j, v in coeffs.items() if v}
-        became_pivot = False
-        while coeffs:
-            j = min(coeffs)
-            if j in pivots:
-                pc, pr = pivots[j]
-                factor = coeffs.pop(j)
-                for jj, v in pc.items():
-                    if jj == j:
-                        continue
-                    w = coeffs.get(jj, RationalQ(ZERO)) - factor * v
-                    if w:
-                        coeffs[jj] = w
-                    else:
-                        coeffs.pop(jj, None)
-                rhs = rhs - factor * pr
-            else:
-                inv = coeffs[j].inverse()
-                nc = {jj: v * inv for jj, v in coeffs.items()}
-                pivots[j] = (nc, rhs * inv)
-                became_pivot = True
-                coeffs = {}
-        if not became_pivot and rhs:
-            raise AssertionError("inconsistent constraint system for the bar map")
-
-    # back substitution
-    solution: dict = {}
-    for j in sorted(pivots, reverse=True):
-        pc, pr = pivots[j]
-        val = pr
-        for jj, v in pc.items():
-            if jj != j:
-                val = val - v * solution[jj]
-        solution[j] = val
-    free = [j for j in range(len(unknowns)) if j not in pivots]
-    if free:
+    rank = _rank_mod_prime(rows)
+    if rank < len(index):
         raise AssertionError(
-            f"bar map underdetermined: {len(free)} free coefficients, e.g. "
-            f"{unknowns[free[0]]}"
+            f"bar map not certified unique: constraint rank {rank} of "
+            f"{len(index)} unknowns at q = 2 mod 2^61 - 1"
         )
-    mismatches = []
-    for (g, f), j in index.items():
-        ours = ctx.row(f).get(g, ZERO)
-        theirs = solution[j].reduce()
-        if ours != theirs:
-            mismatches.append((g, f, ours, theirs))
-    if mismatches:
-        raise AssertionError(f"bar table differs from solved table: {mismatches[:3]}")
-    return {"dimension": len(basis), "unknowns": len(unknowns), "unique": True}
+    return {"dimension": len(basis), "unknowns": len(index), "unique": True}

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: integer Laurent polynomials in q, and the
-fractions of them needed transiently inside the bar-map machinery.
+"""Exact scalar arithmetic: integer Laurent polynomials in q, the sparse
+accumulate helper addmul, and the Gauss integers [r] and [r]!.
 
 Everything is exact; there is no floating point anywhere in the package.
 Coefficients are Python ints, so products of structure constants can grow
@@ -8,7 +8,6 @@ past 64 bits without harm.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from operator import index
 
 
@@ -150,17 +149,12 @@ class Laurent:
         return Laurent(_raw={-e: v for e, v in self.c.items()})
 
     def ev(self, q0: int) -> int:
-        """Evaluate at an integer point, q0 in {1, -1} in practice."""
+        """Evaluate at q0 = 1 or q0 = -1, the points where q^-1 is an integer."""
         if q0 == 1:
             return sum(self.c.values())
         if q0 == -1:
             return sum(v if e % 2 == 0 else -v for e, v in self.c.items())
-        total = 0
-        for e, v in self.c.items():
-            if e < 0 and q0 ** (-e) != 1 and abs(q0) != 1:
-                raise ValueError("negative exponent at non-unit point")
-            total += v * q0**e
-        return total
+        raise ValueError(f"Laurent.ev takes q0 = 1 or -1, not {q0!r}")
 
     def degree_class(self) -> DegreeClass:
         if not self.c:
@@ -304,190 +298,3 @@ def gauss_fact(r: int) -> Laurent:
     for s in range(1, r + 1):
         out = out * gauss_int(s)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Rational functions in q.
-#
-# These appear only inside intermediate bar-map arithmetic (divided powers,
-# the brute-force uniqueness solver); every externally visible coefficient
-# must reduce back to a Laurent polynomial.
-# ---------------------------------------------------------------------------
-
-
-def _content(coeffs: list) -> int:
-    from math import gcd
-
-    g = 0
-    for v in coeffs:
-        g = gcd(g, v)
-    return g or 1
-
-
-def _poly_gcd_int(a: list, b: list) -> list:
-    """Gcd of integer polynomial coefficient lists (ascending), primitive."""
-
-    def strip(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    a, b = strip(a), strip(b)
-    if not a:
-        p = b
-    elif not b:
-        p = a
-    else:
-        fa = [Fraction(v) for v in a]
-        fb = [Fraction(v) for v in b]
-        while fb:
-            # remainder of fa by fb
-            dn = len(fb) - 1
-            lead = fb[dn]
-            r = list(fa)
-            for i in range(len(r) - 1 - dn, -1, -1):
-                c = r[i + dn]
-                if c == 0:
-                    continue
-                f = c / lead
-                for j in range(dn + 1):
-                    r[i + j] -= f * fb[j]
-            while r and r[-1] == 0:
-                r = r[:-1]
-            fa, fb = fb, r
-        # clear denominators, take primitive part
-        den = 1
-        for v in fa:
-            den = den * v.denominator // _gcd_int(den, v.denominator)
-        p = [int(v * den) for v in fa]
-    c = _content(p)
-    p = [v // c for v in p]
-    if p and p[-1] < 0:
-        p = [-v for v in p]
-    return p
-
-
-def _gcd_int(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b) or 1
-
-
-def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
-    """Gcd in Z[q, q^-1], normalized monic-sign and with min exponent 0."""
-    if not a:
-        x = b
-    elif not b:
-        x = a
-    else:
-        alo, blo = min(a.c), min(b.c)
-        la = [a.c.get(alo + i, 0) for i in range(max(a.c) - alo + 1)]
-        lb = [b.c.get(blo + i, 0) for i in range(max(b.c) - blo + 1)]
-        g = _poly_gcd_int(la, lb)
-        return Laurent(_raw={i: v for i, v in enumerate(g) if v})
-    if not x:
-        return ZERO
-    lo = min(x.c)
-    out = {e - lo: v for e, v in x.c.items()}
-    if out[max(out)] < 0:
-        out = {e: -v for e, v in out.items()}
-    return Laurent(_raw=out)
-
-
-class ReductionError(ArithmeticError):
-    """A RationalQ that had to be a Laurent polynomial was not one."""
-
-
-class RationalQ:
-    """Fraction num/den of integer Laurent polynomials, kept reduced.
-
-    Normal form: den is an ordinary polynomial with nonzero constant term
-    and positive leading coefficient, gcd(num, den) is a unit.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = num if isinstance(num, Laurent) else Laurent(num)
-        den = ONE if den is None else (den if isinstance(den, Laurent) else Laurent(den))
-        if not den:
-            raise ZeroDivisionError("RationalQ with zero denominator")
-        if not num:
-            self.num, self.den = ZERO, ONE
-            return
-        g = laurent_gcd(num, den)
-        num = num.divexact(g)
-        den = den.divexact(g)
-        # make den an honest polynomial with nonzero constant term,
-        # positive leading coefficient; absorb units into num
-        lo = min(den.c)
-        den = Laurent(_raw={e - lo: v for e, v in den.c.items()})
-        num = Laurent(_raw={e - lo: v for e, v in num.c.items()})
-        if den.c[max(den.c)] < 0:
-            den, num = -den, -num
-        self.num, self.den = num, den
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Laurent)):
-            other = RationalQ(other)
-        return (
-            isinstance(other, RationalQ)
-            and self.num * other.den == other.num * self.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den == ONE:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-    def __add__(self, other):
-        if isinstance(other, (int, Laurent)):
-            other = RationalQ(other)
-        return RationalQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalQ(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Laurent)):
-            other = RationalQ(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return RationalQ(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Laurent)):
-            other = RationalQ(other)
-        return RationalQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalQ":
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        return RationalQ(self.den, self.num)
-
-    def bar(self) -> "RationalQ":
-        return RationalQ(self.num.bar(), self.den.bar())
-
-    def _try(self):
-        try:
-            return self.num.divexact(self.den)
-        except ExactDivisionError:
-            return None
-
-    def reduce(self) -> Laurent:
-        """Collapse to a Laurent polynomial; hard error if impossible."""
-        out = self._try()
-        if out is None:
-            raise ReductionError(f"{self!r} is not a Laurent polynomial")
-        return out

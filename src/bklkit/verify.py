@@ -17,6 +17,7 @@ from .canonical import (
     DUAL,
     BklEngine,
     adjacency_transport,
+    auto_level,
     engine,
     parabolic_columns,
     shift_column_invariant,
@@ -267,14 +268,18 @@ def suite_shift(count: int = 100, max_rank: int = 3, seed: int = 11) -> Suite:
     rng = random.Random(seed)
 
     def check():
+        draws = []
         for i in range(count):
             rank = rng.randint(1, max_rank)
             bits = tuple(rng.randint(0, 1) for _ in range(rank))
-            b = SignedSeq(bits)
             f = tuple(rng.randint(-2, 2) for _ in range(rank))
             p = rng.choice([-2, -1, 1, 2, 3])
-            kind = rng.choice([CANONICAL, DUAL])
-            shift_column_invariant(b, f, p, kind)
+            draws.append((bits, f, p, rng.choice([CANONICAL, DUAL])))
+        # grouped by window (bits, spread of f and f + p), so that each
+        # window's engine is built once under the two-window engine cache
+        draws.sort(key=lambda d: (d[0], max(abs(v + s) for v in d[1] for s in (0, d[2]))))
+        for bits, f, p, kind in draws:
+            shift_column_invariant(SignedSeq(bits), f, p, kind)
         return f"{count} random instances"
 
     s.run("shift invariance", check)
@@ -475,19 +480,17 @@ def suite_odd_reflection() -> Suite:
         for kappa in range(1, len(b)):
             if b.bits[kappa - 1] != b.bits[kappa]:
                 cases.append((bs, kappa))
-    for bs, kappa in cases:
+    for i, (bs, kappa) in enumerate(cases):
         b = SignedSeq.parse(bs)
 
-        def check(b=b, kappa=kappa):
-            n = 0
-            for f in product(range(0, 2), repeat=len(b)):
-                lam = f_to_weight(b, f)
-                odd_reflection_check(b, kappa, lam)
-                n += 1
-            # one atypical deep case
-            tied = tuple(1 for _ in range(len(b)))
-            odd_reflection_check(b, kappa, f_to_weight(b, tied))
-            return f"{n + 1} weights"
+        def check(b=b, kappa=kappa, down=i % 2 == 1):
+            # the 0/1 box, then one atypical deep case; sorted by window
+            # level, every other case from the top, so that a case starts on
+            # the level where the last one (often the same pair) stopped
+            fs = list(product(range(0, 2), repeat=len(b))) + [(1,) * len(b)]
+            for f in sorted(fs, key=lambda f: auto_level(b, f), reverse=down):
+                odd_reflection_check(b, kappa, f_to_weight(b, f))
+            return f"{len(fs)} weights"
 
         s.run(f"odd reflection b={b} kappa={kappa}", check)
 

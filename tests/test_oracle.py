@@ -3,6 +3,8 @@ from itertools import permutations
 
 import pytest
 
+from bklkit import oracle
+from bklkit.barinv import BarContext
 from bklkit.combinat import SignedSeq
 from bklkit.fock import Window
 from bklkit.oracle import (
@@ -15,7 +17,7 @@ from bklkit.oracle import (
     reduced_word,
     schur_jimbo_match,
 )
-from bklkit.scalars import Laurent, ONE, Z_QMQINV, q_power
+from bklkit.scalars import Laurent, ONE, Z_QMQINV, addmul, q_power
 
 
 def test_hecke_relations():
@@ -125,3 +127,39 @@ def test_brute_uniqueness_mixed_rank3():
 def test_brute_uniqueness_rejects_large():
     with pytest.raises(ValueError):
         brute_bar_uniqueness(Window(SignedSeq.parse("0101"), 4), max_dim=100)
+
+
+@pytest.mark.parametrize(
+    "g, error",
+    [
+        ((0, 0), "residual"),  # a below-diagonal entry off by 1
+        ((2, 2), "not unitriangular"),  # an entry at an index not below f
+        ((1, 1), "diagonal"),  # a diagonal 2
+    ],
+)
+def test_brute_uniqueness_rejects_a_wrong_table_entry(monkeypatch, g, error):
+    real = BarContext.row
+
+    def row(self, f):
+        out = real(self, f)
+        if tuple(f) == (1, 1):
+            out = dict(out)
+            addmul(out, g, ONE)
+        return out
+
+    monkeypatch.setattr(BarContext, "row", row)
+    with pytest.raises(AssertionError, match=error):
+        brute_bar_uniqueness(Window(SignedSeq.parse("01"), 2))
+
+
+def test_brute_uniqueness_rejects_an_underdetermined_system(monkeypatch):
+    # with E_0 alone the true table still solves every constraint, but
+    # the constraints no longer pin it down
+    real = oracle._act_raw
+
+    def e0_only(window, terms, kind, a, project):
+        return real(window, terms, kind, a, project) if (kind, a) == ("E", 0) else {}
+
+    monkeypatch.setattr(oracle, "_act_raw", e0_only)
+    with pytest.raises(AssertionError, match="rank 4 of 10 unknowns"):
+        brute_bar_uniqueness(Window(SignedSeq.parse("01"), 2))
