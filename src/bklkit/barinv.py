@@ -29,7 +29,14 @@ stores on top of it, goes through BarContext.share: the context keeps one
 Laurent object per distinct value and one tuple per index, for as long as
 the context lives.  A large window stores millions of entries but only a
 few thousand distinct polynomials.  The sharing is safe because a Laurent
-is immutable and addmul never mutates its inputs.
+is immutable and addmul never mutates its inputs.  A row never sums: the
+keys of the move to d end in d, so the row is the disjoint union of the
+shifted prefix row and the scaled brackets, stored entry by entry, and the
+scaled value of each stored bracket value is computed once per context.
+
+BarTable checks its rows exactly in integers: the involution identity by
+Kronecker substitution, unitriangularity through combinat.SharpPack (both
+encodings are described in CONVENTIONS.md).
 
 Both conventions were pinned against the Hecke-algebra bar on pure tensor
 blocks and the rank-2 closed forms, and are guarded by the involution,
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import SignedSeq, bruhat_leq
+from .combinat import SharpPack, SignedSeq
 from .fock import Window, _act_raw, wedge_gather
 from .scalars import Laurent, ONE, Z_QMQINV, addmul
 
@@ -70,18 +77,6 @@ def _nested(act, i: int, j: int, terms: dict, top: bool, inner) -> dict:
     return out
 
 
-def _add_moves(out: dict, c: int, k: int, up: bool, bracket, front: bool) -> None:
-    """Add the corrections of every single move c -> d of one index.
-
-    The moves go to every d in (c, k] when up, else to every d in [-k, c),
-    and each adds (q - q^-1) * bracket(min(c,d), max(c,d)), re-indexed with
-    d in front of (front) or behind the indices of the bracket.
-    """
-    for d in range(c + 1, k + 1) if up else range(-k, c):
-        for g, coef in bracket(min(c, d), max(c, d)).items():
-            addmul(out, (d,) + g if front else g + (d,), coef, Z_QMQINV)
-
-
 class BarContext:
     """Bar rows for one pure tensor window, with shared prefix caches."""
 
@@ -93,14 +88,29 @@ class BarContext:
         self.k = window.k
         self._keys: dict = {}  # index tuple -> its one stored copy
         self._values: dict = {}  # Laurent -> its one stored copy
+        self._pooled: set = set()  # ids of the stored copies in _values
+        self._scaled: dict = {}  # id of a stored value c -> stored (q - q^-1) c
         self._rows: dict = {(): self.share({(): ONE})}
         self._bracket: dict = {}
         self._prefix_windows = {0: None}
 
     def share(self, d: dict) -> dict:
-        """d with every key and value replaced by this context's copy of it."""
-        keys, values = self._keys, self._values
-        return {keys.setdefault(g, g): values.setdefault(c, c) for g, c in d.items()}
+        """d with every key and value replaced by this context's copy of it.
+
+        A value that already is a stored copy is recognised by its id, with
+        no hash or comparison; the ids stay valid because _values holds
+        every stored copy for the context's lifetime.
+        """
+        keys, pooled, pool = self._keys, self._pooled, self._pool
+        return {
+            keys.setdefault(g, g): c if id(c) in pooled else pool(c)
+            for g, c in d.items()
+        }
+
+    def _pool(self, c: Laurent) -> Laurent:
+        c = self._values.setdefault(c, c)
+        self._pooled.add(id(c))
+        return c
 
     def _pwin(self, p: int) -> Window:
         w = self._prefix_windows.get(p)
@@ -138,13 +148,23 @@ class BarContext:
         if any(abs(v) > self.k for v in f):
             raise ValueError(f"index {f} not in window")
         prefix, c = f[:-1], f[-1]
-        out = {g + (c,): coef for g, coef in self.row(prefix).items()}
+        base = self.row(prefix)
+        out = {g + (c,): coef for g, coef in base.items()}
         up = self.bits[p - 1] == 0
-
-        def bracket(i, j):
-            return self._bracket_app(up, i, j, prefix)
-
-        _add_moves(out, c, self.k, up, bracket, False)
+        # every move d != c ends its keys in d, so the shifted prefix row and
+        # the scaled brackets are disjoint and each entry is stored once
+        size = len(base)
+        scaled = self._scaled
+        for d in range(c + 1, self.k + 1) if up else range(-self.k, c):
+            br = self._bracket_app(up, min(c, d), max(c, d), prefix)
+            size += len(br)
+            for g, coef in br.items():
+                s = scaled.get(id(coef))
+                if s is None:
+                    s = scaled[id(coef)] = self._pool(coef * Z_QMQINV)
+                out[g + (d,)] = s
+        if len(out) != size:
+            raise AssertionError(f"bar row {f}: move corrections overlap")
         out = self._rows[f] = self.share(out)
         return out
 
@@ -172,10 +192,10 @@ def bar_row_rl(window: Window, f: tuple) -> dict:
         def act(terms, a):
             return _act_raw(win, terms, "F", a, project=True)
 
-        def bracket(i, j):
-            return _nested(act, i, j, base, up, None)
-
-        _add_moves(out, c, k, up, bracket, True)
+        # each move c -> d adds (q - q^-1) Fb(min, max) base, with d in front
+        for d in range(c + 1, k + 1) if up else range(-k, c):
+            for g, coef in _nested(act, min(c, d), max(c, d), base, up, None).items():
+                addmul(out, (d,) + g, coef, Z_QMQINV)
         return out
 
     return rec(0, tuple(f))
@@ -194,6 +214,25 @@ def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
     return wedge_gather(ext_ctx.row(rev), mn, side, kw)
 
 
+def _unpack(x: int, base: int, shift: int) -> Laurent:
+    """The Laurent polynomial s with x = s(2^base) 2^(base shift).
+
+    Reads balanced digits in [-2^(base-1), 2^(base-1)), lowest first.
+    """
+    c = {}
+    half, mask = 1 << (base - 1), (1 << base) - 1
+    e = -shift
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= 1 << base
+        if d:
+            c[e] = d
+        x = (x - d) >> base
+        e += 1
+    return Laurent(_raw=c)
+
+
 @dataclass
 class BarTable:
     """Rows bar(M_f) = sum_g r_{gf} M_g for f in a chosen part of a window."""
@@ -202,12 +241,25 @@ class BarTable:
     rows: dict  # f -> {g: Laurent}
 
     def check_unitriangular(self):
-        bext = SignedSeq(self.window.extended_bits())
-        for f, row in self.rows.items():
+        """Each row has diagonal 1 and every other entry at a lower index.
+
+        Every off-diagonal entry is compared in the Bruhat order through
+        SharpPack: each index carried by the table is packed once per call.
+        """
+        rows = self.rows
+        indices = set(rows)
+        for row in rows.values():
+            indices.update(row)
+        values = [v for g in indices for v in g] or [0]
+        order = SharpPack(SignedSeq(self.window.extended_bits()), min(values), max(values))
+        packed = {g: order.pack(g) for g in indices}
+        leq = order.leq
+        for f, row in rows.items():
             if row.get(f) != ONE:
                 raise AssertionError(f"diagonal of bar row {f} is not 1")
+            pf = packed[f]
             for g in row:
-                if g != f and not bruhat_leq(bext, g, f):
+                if g != f and not leq(packed[g], pf):
                     raise AssertionError(f"bar row {f} hits non-lower index {g}")
 
     def involution_defect(self):
@@ -216,35 +268,52 @@ class BarTable:
         Valid for every pair of indices carried by the table whenever the
         table holds all rows of the enclosing window (intervals of
         in-window pairs stay in the window).
+
+        The sums run in integers by Kronecker substitution: each distinct
+        value v (by id) packs once as P(v) = v(2^B) 2^(B E), E the largest
+        |exponent| in the table, and bar(v) likewise, so a term
+        r_{gh} bar(r_{hf}) is the product of two ints, and a sum s packs as
+        s(2^B) 2^(2 B E), a polynomial in 2^B with exponents in [0, 4E].
+        Every coefficient of every partial sum, and of a sum minus delta, is
+        at most max_f sum_h L1(r_hf) * max L1 + 1 in absolute value (L1 the
+        sum of absolute coefficients), and B is chosen so that this is
+        below 2^(B-1).  A polynomial with coefficients in (-2^(B-1),
+        2^(B-1)) is 0 at 2^B only if it is 0 (its top nonzero term
+        outweighs all lower ones), so each packed test below is exact, and
+        a defect decodes back by balanced base-2^B digits.
         """
         rows = self.rows
+        values = {id(c): c for row in rows.values() for c in row.values()}
+        span = max((abs(e) for c in values.values() for e in c.c), default=0)
+        l1 = {i: sum(map(abs, c.c.values())) for i, c in values.items()}
+        reach = max(
+            (sum(l1[id(c)] for h, c in row.items() if h in rows) for row in rows.values()),
+            default=0,
+        )
+        base = (reach * max(l1.values(), default=0) + 1).bit_length() + 1
+        packs, bars = {}, {}
+        for i, c in values.items():
+            packs[i] = sum(v << (base * (e + span)) for e, v in c.c.items())
+            bars[i] = sum(v << (base * (span - e)) for e, v in c.c.items())
+        one = 1 << (2 * base * span)
         for f, row_f in rows.items():
-            acc: dict = {}  # g -> {exponent: coefficient}, integers only
+            acc: dict = {}  # g -> its packed sum
             for h, rhf in row_f.items():
                 row_h = rows.get(h)
                 if row_h is None:
                     continue
-                bar_rhf = [(-e, v) for e, v in rhf.c.items()]
+                b = bars[id(rhf)]
                 for g, rgh in row_h.items():
-                    d = acc.get(g)
-                    if d is None:
-                        d = acc[g] = {}
-                    for e1, v1 in rgh.c.items():
-                        for e2, v2 in bar_rhf:
-                            e = e1 + e2
-                            w = d.get(e, 0) + v1 * v2
-                            if w:
-                                d[e] = w
-                            else:
-                                del d[e]
-                    if not d:
-                        del acc[g]
-            diag = acc.get(f, {})
-            if diag != {0: 1}:
-                return (f, f, Laurent(_raw=diag))
-            for g, d in acc.items():
+                    x = acc.get(g, 0) + packs[id(rgh)] * b
+                    if x:
+                        acc[g] = x
+                    else:
+                        acc.pop(g, None)
+            if acc.get(f) != one:
+                return (f, f, _unpack(acc.get(f, 0), base, 2 * span))
+            for g, x in acc.items():
                 if g != f:
-                    return (g, f, Laurent(_raw=d))
+                    return (g, f, _unpack(x, base, 2 * span))
         return None
 
     def to_json(self) -> dict:

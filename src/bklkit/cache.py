@@ -1,8 +1,8 @@
 """Content-addressed result cache.
 
 One JSON file per key under a two-level hash directory.  Keys are the
-sha256 of a canonical JSON encoding carrying a schema version, so a schema
-bump invalidates by key miss.  Writes are atomic (temp file + rename) and
+sha256 of a canonical JSON encoding carrying a schema version and an
+engine revision, so a bump of either invalidates by key miss.  Writes are atomic (temp file + rename) and
 a cached payload is returned byte-identically.
 """
 from __future__ import annotations
@@ -14,10 +14,12 @@ import tempfile
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+# Bump whenever a change to the mathematics could alter a cached payload.
+ENGINE_REVISION = 1
 
 
 def cache_key(kind_of_object: str, **fields) -> str:
-    payload = {"schema": SCHEMA_VERSION, "object": kind_of_object}
+    payload = {"schema": SCHEMA_VERSION, "engine": ENGINE_REVISION, "object": kind_of_object}
     payload.update(fields)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

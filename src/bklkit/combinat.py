@@ -132,6 +132,59 @@ def bruhat_leq(b: SignedSeq, g: Weight, f: Weight) -> bool:
     return True
 
 
+class SharpPack:
+    """The sharp statistic of an index packed into one int, for many comparisons.
+
+    Lane (a, j), for lo <= a < hi and j = 1..p, holds sharp(g, a, j) in W
+    bits, where 2^(W-1) > p; levels outside [lo, hi) carry no information
+    for indices with entries in [lo, hi] (sharp is 0 below lo, and the full
+    suffix sum from hi on).  pack(g) = sum_i s_i T[i][g_i], with T[i][v]
+    one unit in every lane with a >= v and j <= i.
+
+    leq(pack(g), pack(f)) is bruhat_leq(b, g, f): every lane difference
+    d = sharp(f) - sharp(g) lies in [-p, p] (both sum the signs of the same
+    p - j + 1 slots, each with a subset of them), so D = GUARD + pack(f) -
+    pack(g), GUARD the top bit of every lane, holds 2^(W-1) + d in each lane
+    with no carry or borrow between lanes.  The top bit of a lane of D is
+    set iff d >= 0, and the lane equals 2^(W-1) iff d = 0, which the j = 1
+    lanes (mask EQ) must satisfy.  bruhat_leq stays the reference scan and
+    the path for single comparisons.
+    """
+
+    def __init__(self, b: SignedSeq, lo: int, hi: int):
+        bits = b.bits
+        p = len(bits)
+        width = p.bit_length() + 1
+        unit = {}  # (a, j) -> the low bit of its lane
+        for a in range(lo, hi):
+            for j in range(1, p + 1):
+                unit[a, j] = 1 << (width * len(unit))
+        self.lo, self.hi, self.p = lo, hi, p
+        self.guard = sum(u << (width - 1) for u in unit.values())
+        eq = sum(((1 << width) - 1) * unit[a, 1] for a in range(lo, hi)) if p else 0
+        self.eq_guard, self.eq = self.guard & eq, eq
+        self._tables = []
+        for i in range(1, p + 1):
+            s = -1 if bits[i - 1] else 1
+            self._tables.append([
+                s * sum(unit[a, j] for a in range(v, hi) for j in range(1, i + 1))
+                for v in range(lo, hi + 1)
+            ])
+
+    def pack(self, g: Weight) -> int:
+        if len(g) != self.p:
+            raise ValueError("length mismatch")
+        lo = self.lo
+        if g and (min(g) < lo or max(g) > self.hi):
+            raise ValueError(f"index {g} leaves the packed range [{lo}, {self.hi}]")
+        return sum(t[v - lo] for t, v in zip(self._tables, g))
+
+    def leq(self, pg: int, pf: int) -> bool:
+        """g <= f, given pg = pack(g) and pf = pack(f)."""
+        d = self.guard + pf - pg
+        return d & self.guard == self.guard and d & self.eq == self.eq_guard
+
+
 def down_moves(b: SignedSeq, f: Weight) -> set:
     """All g with f moving down to g by one elementary move."""
     bits = b.bits

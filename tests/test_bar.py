@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -333,3 +334,55 @@ def test_bar_tables_match_recorded_digests():
         for key, win in digest_windows()
     }
     assert got == want
+
+
+def test_packed_involution_check_carries_big_coefficients():
+    # the Kronecker base is sized from the table itself: a corrupt value of
+    # 2^70 squares to 2^140 on the diagonal, past any fixed machine word
+    t = bar_table(Window(SignedSeq.parse("01"), 2))
+    f = next(iter(t.rows))  # its row is {f: 1}
+    big = 2**70
+    for value in (Laurent(big), Laurent({0: big, 1: -1}), Laurent({-1: big, 1: big})):
+        bad = corrupted(t, f, f, value)
+        assert bad.involution_defect() == reference_involution_defect(bad.rows)
+    assert corrupted(t, f, f, Laurent(big)).involution_defect() == (f, f, Laurent(big**2))
+    g = (1, 2)  # bar-fixed
+    bad = corrupted(t, f, g, Laurent({2: -big, -3: 3}))
+    got = bad.involution_defect()
+    assert got == reference_involution_defect(bad.rows) == (g, f, Laurent({2: -big, -2: -big, 3: 3, -3: 3}))
+
+
+def test_packed_involution_check_takes_exponents_outside_the_table():
+    t = bar_table(Window(SignedSeq.parse("010"), 1))
+    span = max(abs(e) for row in t.rows.values() for c in row.values() for e in c.c)
+    for f, g in [((1, 1, 0), (0, 0, 0)), ((0, 0, 1), (-1, 1, 1)), ((0, 0, 0), (0, 0, 0))]:
+        for e in (span + 1, -span - 5, 3 * span + 7):
+            bad = corrupted(t, f, g, q_power(e))
+            got = bad.involution_defect()
+            assert got is not None and got == reference_involution_defect(bad.rows), (f, g, e)
+
+
+def test_packed_involution_check_sees_defects_that_vanish_at_a_power_of_two():
+    # v + bar(v) = 2 (q - 2^s)(q^-1 - 2^s): the defect's two kinds of terms
+    # cancel in every base-2^s digit, so a packing at a fixed base 2^s
+    # would read no defect at all
+    t = bar_table(Window(SignedSeq.parse("01"), 2))
+    f = next(iter(t.rows))
+    g = (1, 2)  # bar-fixed, so the defect at (g, f) is v + bar(v)
+    for s in range(8, 80, 3):
+        v = Laurent({0: 1 + 2 ** (2 * s), 1: -(2 ** (s + 1))})
+        bad = corrupted(t, f, g, v)
+        want = (g, f, v + v.bar())
+        assert sum(c * Fraction(2) ** (s * e) for e, c in want[2].c.items()) == 0
+        assert bad.involution_defect() == reference_involution_defect(bad.rows) == want, s
+
+
+def test_wedge_check_unitriangular_rejects_a_non_lower_entry():
+    t = bar_table(Window(SignedSeq.parse("0"), 2, ("W", 2)))
+    t.check_unitriangular()
+    f = min(t.rows)
+    g = max(t.rows)
+    with pytest.raises(AssertionError, match="non-lower index"):
+        corrupted(t, f, g, ONE).check_unitriangular()
+    with pytest.raises(ValueError, match="length mismatch"):
+        corrupted(t, f, (0,), ONE).check_unitriangular()

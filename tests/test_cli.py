@@ -63,6 +63,27 @@ def test_bkl_cache_roundtrip(capsys, tmp_path):
     assert payload == json.loads(out1)
 
 
+def test_bkl_cache_misses_after_an_engine_revision_bump(capsys, tmp_path, monkeypatch):
+    from bklkit import cache
+
+    args = ("bkl", "--seq", "01", "--f", "2,2", "--kind", "dual", "--window", "4",
+            "--cache-dir", str(tmp_path))
+    code1, out1, _ = run(capsys, *args)
+    (old,) = tmp_path.rglob("*.json")
+    stamp = old.stat().st_mtime_ns
+    revision = cache.ENGINE_REVISION
+    monkeypatch.setattr(cache, "ENGINE_REVISION", revision + 1)
+    code2, out2, _ = run(capsys, *args)
+    new = [p for p in tmp_path.rglob("*.json") if p != old]
+    assert len(new) == 1  # a miss: recomputed and stored under a new key
+    monkeypatch.setattr(cache, "ENGINE_REVISION", revision)
+    code3, out3, _ = run(capsys, *args)
+    assert (code1, code2, code3) == (0, 0, 0)
+    assert out1 == out2 == out3
+    assert old.stat().st_mtime_ns == stamp  # the original revision hits
+    assert len(list(tmp_path.rglob("*.json"))) == 2
+
+
 def test_bkl_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
     args = ("bkl", "--seq", "01", "--f", "2,2", "--kind", "dual", "--window", "4",
             "--cache-dir", str(tmp_path))

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from bklkit.combinat import (
+    SharpPack,
     SignedSeq,
     WedgeIndex,
     antidominant,
@@ -52,6 +53,52 @@ def test_bruhat_leq_matches_sharp_definition():
                 assert bruhat_leq(b, g, f) == want, (b, g, f)
                 n += 1
     assert n == 134_702
+
+
+def test_sharp_pack_matches_bruhat_leq_on_every_small_window():
+    # every ordered pair of every window with m+n <= 3 at k <= 2, packed
+    # over the window's own value range
+    n = 0
+    for p in range(1, 4):
+        for bits in product((0, 1), repeat=p):
+            b = SignedSeq(bits)
+            for k in (1, 2):
+                order = SharpPack(b, -k, k)
+                box = list(product(range(-k, k + 1), repeat=p))
+                packed = {g: order.pack(g) for g in box}
+                for f, g in product(box, repeat=2):
+                    assert order.leq(packed[g], packed[f]) == bruhat_leq(b, g, f), (b, g, f)
+                    n += 1
+    assert n == 133_724
+
+
+def test_sharp_pack_matches_bruhat_leq_on_random_pairs():
+    rng = random.Random(12)
+    for p in (4, 5, 6):
+        for _ in range(40):
+            b = SignedSeq(tuple(rng.randint(0, 1) for _ in range(p)))
+            lo, hi = sorted(rng.randint(-6, 6) for _ in range(2))
+            order = SharpPack(b, lo, hi)
+            for _ in range(60):
+                f = tuple(rng.randint(lo, hi) for _ in range(p))
+                # half the draws permute f, so that the j = 1 equality holds
+                g = tuple(rng.sample(f, p)) if rng.random() < 0.5 else tuple(
+                    rng.randint(lo, hi) for _ in range(p))
+                for x, y in ((g, f), (f, g)):
+                    assert order.leq(order.pack(x), order.pack(y)) == bruhat_leq(b, x, y), (b, x, y)
+
+
+def test_sharp_pack_rejects_bad_indices():
+    b = SignedSeq.parse("011")
+    order = SharpPack(b, -2, 2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        bruhat_leq(b, (0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="length mismatch"):
+        order.pack((0, 0))
+    with pytest.raises(ValueError, match="packed range"):
+        order.pack((0, 3, 0))
+    empty = SharpPack(SignedSeq(()), 0, 0)
+    assert empty.leq(empty.pack(()), empty.pack(()))
 
 
 def test_bruhat_paper_example():
