@@ -2,8 +2,9 @@
 
 One JSON file per key under a two-level hash directory.  Keys are the
 sha256 of a canonical JSON encoding carrying a schema version and an
-engine revision, so a bump of either invalidates by key miss.  Writes are atomic (temp file + rename) and
-a cached payload is returned byte-identically.
+engine revision, so a bump of either invalidates by key miss.  Writes are
+atomic (temp file + rename) and a cached payload is returned
+byte-identically.
 """
 from __future__ import annotations
 
