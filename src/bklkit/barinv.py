@@ -7,32 +7,32 @@ correction collapses: bar(x (x) y_c) picks up, besides bar(x) (x) y_c, one
 term per admissible single move of the last index, weighted by
 (q - q^-1) times a root-vector operator applied to bar(x).
 
-The root vectors are iterated q^-1-commutators of Chevalley actions, and
-one routine, _nested, computes them all: it takes the action and the end
-from which an index is peeled, top or bottom.  The nesting ends mirror
-between the two module types:
+The root vectors are iterated q^-1-commutators of Chevalley actions:
 
-    last factor V, move c -> d (d > c), peel the top:
+    last factor V, move c -> d (d > c):
         R(c,d),  R(i,j) = R(i,j-1) E_{j-1} - q^-1 E_{j-1} R(i,j-1)
-    last factor W, move c -> d (d < c), peel the bottom:
+    last factor W, move c -> d (d < c):
         S(d,c),  S(i,j) = S(i+1,j) E_i - q^-1 E_i S(i+1,j)
 
-BarContext caches every bracket R(i,j) bar(M_prefix) and S(i,j)
-bar(M_prefix) it builds.  The second term of each recursion step is the
-bracket one index shorter applied to the same row, which the loop over
-moves asks for anyway, so it is read from that cache, not recomputed.
-The right-to-left recursion bar_row_rl prepends factors with the same
-routine on F actions, mirrored ends, and no cache.
+On a monomial they have a closed form, the iterated coproduct of the root
+vector over the slots: a sum over chains of slots that carry consecutive
+segments of [min(c,d), max(c,d)], with a sign and power of q per slot (see
+_chains and CONVENTIONS.md).  BarContext.row scans each monomial of the
+prefix row once, left to right, and emits the chains of every move c -> d
+in that one pass; no bracket is stored.  _nested computes the same
+brackets by the recursion above on _act_raw passes; only the right-to-left
+recursion bar_row_rl uses it, on F actions with mirrored ends, as an
+independent witness of the tensor order.
 
-Every row and bracket a BarContext stores, and every wedge row an engine
-stores on top of it, goes through BarContext.share: the context keeps one
-Laurent object per distinct value and one tuple per index, for as long as
-the context lives.  A large window stores millions of entries but only a
-few thousand distinct polynomials.  The sharing is safe because a Laurent
-is immutable and addmul never mutates its inputs.  A row never sums: the
-keys of the move to d end in d, so the row is the disjoint union of the
-shifted prefix row and the scaled brackets, stored entry by entry, and the
-scaled value of each stored bracket value is computed once per context.
+Every row a BarContext stores, and every wedge row stored on top of it,
+goes through BarContext.share: the context keeps one Laurent object per
+distinct value and one tuple per index, for as long as the context lives.
+A large window stores millions of entries but only a few thousand distinct
+polynomials.  The sharing is safe because a Laurent is immutable and
+addmul never mutates its inputs.  The keys of the move to d end in d, so
+the chain terms never meet the shifted prefix row; each chain term value,
++-q^e (q - q^-1)^r times a stored prefix value, is computed once per
+context, and terms that meet at one key sum in integer dicts.
 
 BarTable checks its rows exactly in integers: the involution identity by
 Kronecker substitution, unitriangularity through combinat.SharpPack (both
@@ -54,26 +54,65 @@ from .scalars import Laurent, ONE, Z_QMQINV, addmul
 _MINUS_QINV = Laurent({-1: -1})
 
 
-def _nested(act, i: int, j: int, terms: dict, top: bool, inner) -> dict:
+def _nested(act, i: int, j: int, terms: dict, top: bool) -> dict:
     """The iterated q^-1-commutator X(i,j) of act applied to raw terms.
 
     act(terms, a) applies X_a.  X(i,i+1) = X_i, and one index is peeled
     from the top end, X(i,j) = X(i,j-1) X_{j-1} - q^-1 X_{j-1} X(i,j-1),
     or from the bottom, X(i,j) = X(i+1,j) X_i - q^-1 X_i X(i+1,j).
-    inner(i', j') returns the peeled X(i',j') applied to the same terms when
-    the caller already holds it (a cached bracket); with inner None it is
-    recomputed.
     """
     if not terms:
         return {}
     if j == i + 1:
         return act(terms, i)
     a, i2, j2 = (j - 1, i, j - 1) if top else (i, i + 1, j)
-    out = _nested(act, i2, j2, act(terms, a), top, None)
-    y = inner(i2, j2) if inner else _nested(act, i2, j2, terms, top, None)
+    out = _nested(act, i2, j2, act(terms, a), top)
+    y = _nested(act, i2, j2, terms, top)
     if y:
         for g, c in act(y, a).items():
             addmul(out, g, c, _MINUS_QINV)
+    return out
+
+
+def _chains(bits: tuple, g: tuple, c: int, up: bool, k: int) -> list:
+    """The terms of every bracket R(c,d) (up) or S(d,c) applied to M_g.
+
+    One left-to-right scan of g.  A term is a chain of slots s_1 < ... < s_r
+    carrying consecutive segments (a, b) of [min(c,d), max(c,d)], ascending
+    from c for R and descending from c for S: a V slot carries (a, b) by
+    moving its entry b to a, a W slot by moving its entry a to b.  Each W
+    slot of an R chain and each V slot of an S chain carries
+    (-q^-1)^(b-a-1); every slot s right of s_1 carries q^kappa, where
+    [lo, hi] is the union of the segments of the chain slots left of s and
+    kappa is +1 for an entry hi, -1 for an entry lo, negated on a W slot.
+    Returns (h, d, e, neg, r) per chain: the bracket for the move to d is
+    the sum of (-1)^neg q^e (q - q^-1)^(r-1) M_h over its chains.
+    """
+    step = 1 if up else -1
+    same = 0 if up else 1  # the slot type whose entry jumps to the chain end
+    stop = k + 1 if up else -k - 1
+    n = len(g)
+    out = []
+    stack = [(0, c, 0, 0, 0, g)]  # next slot, chain end, exponent, sign, length, moved g
+    while stack:
+        j, t, e, neg, r, h = stack.pop()
+        if j == n:
+            if r:
+                out.append((h, t, e, neg, r))
+            continue
+        v = g[j]
+        kind = bits[j] == same
+        if r and (v == t or v == c):
+            kappa = 1 if v == t else -1
+            e += kappa if kind else -kappa
+        stack.append((j + 1, t, e, neg, r, h))
+        if kind:
+            if (v - t) * step > 0:
+                stack.append((j + 1, v, e, neg, r + 1, h[:j] + (t,) + h[j + 1 :]))
+        elif v == t:
+            for x in range(t + step, stop, step):
+                m = (x - t) * step - 1
+                stack.append((j + 1, x, e - m, neg ^ (m & 1), r + 1, h[:j] + (x,) + h[j + 1 :]))
     return out
 
 
@@ -89,10 +128,8 @@ class BarContext:
         self._keys: dict = {}  # index tuple -> its one stored copy
         self._values: dict = {}  # Laurent -> its one stored copy
         self._pooled: set = set()  # ids of the stored copies in _values
-        self._scaled: dict = {}  # id of a stored value c -> stored (q - q^-1) c
+        self._terms: dict = {}  # (id of a stored c, e, neg, r) -> stored term value
         self._rows: dict = {(): self.share({(): ONE})}
-        self._bracket: dict = {}
-        self._prefix_windows = {0: None}
 
     def share(self, d: dict) -> dict:
         """d with every key and value replaced by this context's copy of it.
@@ -112,30 +149,6 @@ class BarContext:
         self._pooled.add(id(c))
         return c
 
-    def _pwin(self, p: int) -> Window:
-        w = self._prefix_windows.get(p)
-        if w is None:
-            w = Window(SignedSeq(self.bits[:p]), self.k)
-            self._prefix_windows[p] = w
-        return w
-
-    def _bracket_app(self, up: bool, i: int, j: int, prefix: tuple) -> dict:
-        """R(i,j) (up, a V factor) or S(i,j) (a W factor) applied to bar(M_prefix)."""
-        key = (up, i, j, prefix)
-        hit = self._bracket.get(key)
-        if hit is None:
-            win = self._pwin(len(prefix))
-
-            def act(terms, a):
-                return _act_raw(win, terms, "E", a, project=True)
-
-            def inner(i2, j2):
-                return self._bracket_app(up, i2, j2, prefix)
-
-            hit = self.share(_nested(act, i, j, self.row(prefix), up, inner))
-            self._bracket[key] = hit
-        return hit
-
     def row(self, f: tuple) -> dict:
         """bar(M_f) within the window, as a raw dict {g: Laurent}."""
         f = tuple(f)
@@ -150,21 +163,33 @@ class BarContext:
         prefix, c = f[:-1], f[-1]
         base = self.row(prefix)
         out = {g + (c,): coef for g, coef in base.items()}
-        up = self.bits[p - 1] == 0
-        # every move d != c ends its keys in d, so the shifted prefix row and
-        # the scaled brackets are disjoint and each entry is stored once
-        size = len(base)
-        scaled = self._scaled
-        for d in range(c + 1, self.k + 1) if up else range(-self.k, c):
-            br = self._bracket_app(up, min(c, d), max(c, d), prefix)
-            size += len(br)
-            for g, coef in br.items():
-                s = scaled.get(id(coef))
+        # every move d != c ends its keys in d, so the chain terms never meet
+        # the shifted prefix row; they sum among themselves in integer dicts
+        bits, up, k = self.bits, self.bits[p - 1] == 0, self.k
+        terms, sums = self._terms, {}
+        for g, coef in base.items():
+            for h, d, e, neg, r in _chains(bits, g, c, up, k):
+                tk = (id(coef), e, neg, r)
+                s = terms.get(tk)
                 if s is None:
-                    s = scaled[id(coef)] = self._pool(coef * Z_QMQINV)
-                out[g + (d,)] = s
-        if len(out) != size:
-            raise AssertionError(f"bar row {f}: move corrections overlap")
+                    s = (coef * Z_QMQINV**r).shift(e)
+                    s = terms[tk] = self._pool(-s if neg else s)
+                key = h + (d,)
+                old = out.get(key)
+                if old is None:
+                    out[key] = s
+                    continue
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = dict(old.c)
+                for x, v in s.c.items():
+                    acc[x] = acc.get(x, 0) + v
+        for key, acc in sums.items():
+            acc = {x: v for x, v in acc.items() if v}
+            if acc:
+                out[key] = Laurent(_raw=acc)
+            else:
+                del out[key]
         out = self._rows[f] = self.share(out)
         return out
 
@@ -194,7 +219,7 @@ def bar_row_rl(window: Window, f: tuple) -> dict:
 
         # each move c -> d adds (q - q^-1) Fb(min, max) base, with d in front
         for d in range(c + 1, k + 1) if up else range(-k, c):
-            for g, coef in _nested(act, min(c, d), max(c, d), base, up, None).items():
+            for g, coef in _nested(act, min(c, d), max(c, d), base, up).items():
                 addmul(out, (d,) + g, coef, Z_QMQINV)
         return out
 
@@ -344,7 +369,7 @@ def bar_table(window: Window) -> BarTable:
         rows = {f: ctx.row(f) for f in window.basis()}
     else:
         ctx = BarContext(window.extended())
-        rows = {f: wedge_bar_row(window, ctx, f) for f in window.basis()}
+        rows = {f: ctx.share(wedge_bar_row(window, ctx, f)) for f in window.basis()}
     table = BarTable(window, rows)
     defect = table.involution_defect()
     if defect is not None:

@@ -11,14 +11,16 @@ import pytest
 from bklkit.barinv import (
     BarContext,
     BarTable,
+    _chains,
+    _nested,
     bar_row_rl,
     bar_table,
     equivariance_defect,
     wedge_bar_row,
 )
 from bklkit.combinat import SignedSeq
-from bklkit.fock import FockVector, Window, hecke_act
-from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, q_power
+from bklkit.fock import FockVector, Window, _act_raw, hecke_act
+from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, addmul, q_power
 
 
 def tie_row(f, k, step):
@@ -386,3 +388,95 @@ def test_wedge_check_unitriangular_rejects_a_non_lower_entry():
         corrupted(t, f, g, ONE).check_unitriangular()
     with pytest.raises(ValueError, match="length mismatch"):
         corrupted(t, f, (0,), ONE).check_unitriangular()
+
+
+def test_wedge_bar_table_shares_its_values():
+    for win in (Window(SignedSeq.parse("01"), 2, ("V", 2)), Window(SignedSeq.parse("0"), 2, ("W", 2))):
+        values = [c for row in bar_table(win).rows.values() for c in row.values()]
+        assert len({id(c) for c in values}) == len(set(values)) < len(values), win
+
+
+def nested_bracket(win, terms, i, j, up):
+    """R(i,j) (up) or S(i,j) applied to terms by the q^-1-commutator recursion."""
+    return _nested(lambda t, a: _act_raw(win, t, "E", a, project=True), i, j, terms, up)
+
+
+def chain_brackets(bits, terms, c, up, k):
+    """Every bracket of the move from c applied to terms by the chain rule, by d."""
+    out: dict = {}
+    for g, coef in terms.items():
+        for h, d, e, neg, r in _chains(bits, g, c, up, k):
+            t = (coef * Z_QMQINV ** (r - 1)).shift(e)
+            addmul(out.setdefault(d, {}), h, -t if neg else t)
+    return out
+
+
+def test_chain_rule_matches_nested_brackets_on_every_monomial():
+    # every monomial of every tensor window with m+n <= 3 at k <= 3, every
+    # i < j, both families: R(i,j) is the move i -> j of a V last factor,
+    # S(i,j) the move j -> i of a W last factor
+    cases = 0
+    for rank in range(1, 4):
+        for bits in product((0, 1), repeat=rank):
+            for k in range(1, 4):
+                win = Window(SignedSeq(bits), k)
+                for g in win.basis():
+                    for up in (True, False):
+                        for c in range(-k, k + 1):
+                            got = chain_brackets(bits, {g: ONE}, c, up, k)
+                            for d in range(c + 1, k + 1) if up else range(-k, c):
+                                want = nested_bracket(win, {g: ONE}, min(c, d), max(c, d), up)
+                                assert got.get(d, {}) == want, (bits, k, g, c, d)
+                                cases += 1
+    assert cases == 147816
+
+
+def test_chain_rule_matches_nested_brackets_on_random_sums():
+    rng = random.Random(1313)
+    for _ in range(300):
+        bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(4, 5)))
+        k = rng.randint(2, 3)
+        win = Window(SignedSeq(bits), k)
+        terms: dict = {}
+        for _ in range(rng.randint(1, 8)):
+            g = tuple(rng.randint(-k, k) for _ in bits)
+            addmul(terms, g, Laurent({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(2)}))
+        up = rng.random() < 0.5
+        c = rng.randint(-k, k)
+        got = chain_brackets(bits, terms, c, up, k)
+        for d in range(c + 1, k + 1) if up else range(-k, c):
+            assert got.get(d, {}) == nested_bracket(win, terms, min(c, d), max(c, d), up), (bits, k, c, d)
+
+
+class ReferenceRows:
+    """Bar rows by the bracket recursion on _act_raw passes, as a witness.
+
+    Appends each factor as bar(x (x) y_c) = bar(x) (x) y_c + (q - q^-1)
+    sum_d (bracket of c -> d) bar(x) (x) y_d, every bracket through
+    _nested on the prefix window.
+    """
+
+    def __init__(self, window):
+        self.bits, self.k = window.b.bits, window.k
+        self.rows = {(): {(): ONE}}
+
+    def row(self, f):
+        if f not in self.rows:
+            prefix, c = f[:-1], f[-1]
+            base = self.row(prefix)
+            out = {g + (c,): v for g, v in base.items()}
+            up = self.bits[len(prefix)] == 0
+            win = Window(SignedSeq(self.bits[: len(prefix)]), self.k)
+            for d in range(c + 1, self.k + 1) if up else range(-self.k, c):
+                for g, v in nested_bracket(win, base, min(c, d), max(c, d), up).items():
+                    addmul(out, g + (d,), v, Z_QMQINV)
+            self.rows[f] = out
+        return self.rows[f]
+
+
+def test_rows_match_the_bracket_recursion_on_rank_4_windows():
+    for bits in product((0, 1), repeat=4):
+        win = Window(SignedSeq(bits), 2)
+        ctx, ref = BarContext(win), ReferenceRows(win)
+        for f in win.basis():
+            assert ctx.row(f) == ref.row(f), (bits, f)

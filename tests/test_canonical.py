@@ -191,7 +191,7 @@ def test_bar_rows_share_values_and_index_tuples():
         for f in win.basis():
             eng.column(f, DUAL)
         ctx = eng._ctx
-        stored = [*ctx._rows.values(), *ctx._bracket.values(), *eng._wedge_rows.values()]
+        stored = [*ctx._rows.values(), *eng._wedge_rows.values()]
         seen: dict = {}
         for d in stored:
             for g, c in d.items():
