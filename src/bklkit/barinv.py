@@ -231,12 +231,12 @@ def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
 
     Computed through the embedding W_h -> M_{h.w0} H_0: bar the embedded
     monomial, push the bar-invariant H_0 across, and gather the result in
-    wedge coordinates.
+    wedge coordinates, shared through ext_ctx like a tensor row.
     """
     side, kw = wwin.wedge
     mn = wwin.tensor_len
     rev = idx[:mn] + tuple(reversed(idx[mn:]))
-    return wedge_gather(ext_ctx.row(rev), mn, side, kw)
+    return ext_ctx.share(wedge_gather(ext_ctx.row(rev), mn, side, kw))
 
 
 def _unpack(x: int, base: int, shift: int) -> Laurent:
@@ -369,7 +369,7 @@ def bar_table(window: Window) -> BarTable:
         rows = {f: ctx.row(f) for f in window.basis()}
     else:
         ctx = BarContext(window.extended())
-        rows = {f: ctx.share(wedge_bar_row(window, ctx, f)) for f in window.basis()}
+        rows = {f: wedge_bar_row(window, ctx, f) for f in window.basis()}
     table = BarTable(window, rows)
     defect = table.involution_defect()
     if defect is not None:

@@ -92,7 +92,7 @@ class BklEngine:
             return self._ctx.row(f)
         row = self._wedge_rows.get(f)
         if row is None:
-            row = self._ctx.share(wedge_bar_row(self.window, self._ctx, f))
+            row = wedge_bar_row(self.window, self._ctx, f)
             self._wedge_rows[f] = row
         return row
 
