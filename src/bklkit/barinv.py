@@ -32,7 +32,8 @@ polynomials.  The sharing is safe because a Laurent is immutable and
 addmul never mutates its inputs.  The keys of the move to d end in d, so
 the chain terms never meet the shifted prefix row; each chain term value,
 +-q^e (q - q^-1)^r times a stored prefix value, is computed once per
-context, and terms that meet at one key sum in integer dicts.
+context; the first term at a key is stored as it is, and terms that meet
+at one key sum through addmul.
 
 BarTable checks its rows exactly in integers: the involution identity by
 Kronecker substitution, unitriangularity through combinat.SharpPack (both
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import SharpPack, SignedSeq
+from .combinat import SharpPack, SignedSeq, format_weight
 from .fock import Window, _act_raw, wedge_gather
 from .scalars import Laurent, ONE, Z_QMQINV, addmul
 
@@ -164,9 +165,9 @@ class BarContext:
         base = self.row(prefix)
         out = {g + (c,): coef for g, coef in base.items()}
         # every move d != c ends its keys in d, so the chain terms never meet
-        # the shifted prefix row; they sum among themselves in integer dicts
+        # the shifted prefix row; terms that meet at one key sum in addmul
         bits, up, k = self.bits, self.bits[p - 1] == 0, self.k
-        terms, sums = self._terms, {}
+        terms = self._terms
         for g, coef in base.items():
             for h, d, e, neg, r in _chains(bits, g, c, up, k):
                 tk = (id(coef), e, neg, r)
@@ -174,22 +175,7 @@ class BarContext:
                 if s is None:
                     s = (coef * Z_QMQINV**r).shift(e)
                     s = terms[tk] = self._pool(-s if neg else s)
-                key = h + (d,)
-                old = out.get(key)
-                if old is None:
-                    out[key] = s
-                    continue
-                acc = sums.get(key)
-                if acc is None:
-                    acc = sums[key] = dict(old.c)
-                for x, v in s.c.items():
-                    acc[x] = acc.get(x, 0) + v
-        for key, acc in sums.items():
-            acc = {x: v for x, v in acc.items() if v}
-            if acc:
-                out[key] = Laurent(_raw=acc)
-            else:
-                del out[key]
+                addmul(out, h + (d,), s)
         out = self._rows[f] = self.share(out)
         return out
 
@@ -276,7 +262,7 @@ class BarTable:
         for row in rows.values():
             indices.update(row)
         values = [v for g in indices for v in g] or [0]
-        order = SharpPack(SignedSeq(self.window.extended_bits()), min(values), max(values))
+        order = SharpPack(self.window.extended().b, min(values), max(values))
         packed = {g: order.pack(g) for g in indices}
         leq = order.leq
         for f, row in rows.items():
@@ -342,9 +328,6 @@ class BarTable:
         return None
 
     def to_json(self) -> dict:
-        def key(f):
-            return ",".join(str(v) for v in f)
-
         return {
             "b": str(self.window.b),
             "k": self.window.k,
@@ -352,7 +335,7 @@ class BarTable:
             if self.window.wedge
             else None,
             "rows": {
-                key(f): {key(g): c.to_json() for g, c in sorted(row.items())}
+                format_weight(f): {format_weight(g): c.to_json() for g, c in sorted(row.items())}
                 for f, row in sorted(self.rows.items())
             },
         }

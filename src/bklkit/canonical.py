@@ -28,9 +28,11 @@ from .barinv import BarContext, wedge_bar_row
 from .combinat import (
     SignedSeq,
     WedgeIndex,
+    _check_adjacent,
     bruhat_leq,
     f_L,
     f_U,
+    format_weight,
     natural_bij,
 )
 from .fock import Window, wedge_gather
@@ -58,21 +60,21 @@ class BklColumn:
         wedge = self.window.wedge
         col = []
         for g in sorted(self.entries):
-            item = {"g": ",".join(str(v) for v in g[:mn])}
+            item = {"g": format_weight(g[:mn])}
             if wedge:
-                item["u"] = ",".join(str(v) for v in g[mn:])
+                item["u"] = format_weight(g[mn:])
             item["poly"] = self.entries[g].to_json()
             col.append(item)
         out = {
             "b": str(self.window.b),
-            "f": ",".join(str(v) for v in self.f[:mn]),
+            "f": format_weight(self.f[:mn]),
             "kind": self.kind,
             "window": self.window.k,
             "column": col,
         }
         if wedge:
             out["wedge"] = f"{wedge[0]}:{wedge[1]}"
-            out["u"] = ",".join(str(v) for v in self.f[mn:])
+            out["u"] = format_weight(self.f[mn:])
         return out
 
 
@@ -81,7 +83,7 @@ class BklEngine:
 
     def __init__(self, window: Window):
         self.window = window
-        self.bext = SignedSeq(window.extended_bits())
+        self.bext = window.extended().b
         self._ctx = BarContext(window if window.wedge is None else window.extended())
         self._wedge_rows: dict = {}
         self._columns: dict = {}
@@ -272,13 +274,6 @@ def _tied(h: tuple, kappa: int) -> bool:
     return h[kappa - 1] == h[kappa]
 
 
-def _bump(h: tuple, kappa: int, step: int) -> tuple:
-    g = list(h)
-    g[kappa - 1] += step
-    g[kappa] += step
-    return tuple(g)
-
-
 def column_to_parabolic(
     entries: dict, kappa: int, pair_kind: str, basis: str, k: int
 ) -> dict:
@@ -290,13 +285,15 @@ def column_to_parabolic(
     caller compares them inside a safe sub-box (the suites do).
     """
     up = 1 if pair_kind == "VW" else -1
+    # on a tied index f_L bumps both slots up and f_U bumps them down
+    lower, upper = (f_U, f_L) if up == 1 else (f_L, f_U)
     out: dict = {}
     if basis == "N":
         # M_h = N_h + q^-1 N_{h bumped down}; collect per N index
         for h, c in entries.items():
             addmul(out, h, c)
             if _tied(h, kappa):
-                hb = _bump(h, kappa, -up)
+                hb = lower(h, kappa)
                 if _in_box(hb, k):
                     addmul(out, hb, c.shift(-1))
         return out
@@ -307,15 +304,15 @@ def column_to_parabolic(
     todo = set(entries)
     for h in entries:
         if _tied(h, kappa):
-            g = _bump(h, kappa, -up)
+            g = lower(h, kappa)
             while _in_box(g, k):
                 todo.add(g)
-                g = _bump(g, kappa, -up)
+                g = lower(g, kappa)
     order = sorted(todo, key=lambda h: -up * h[kappa - 1])
     for h in order:
         val = entries.get(h, ZERO)
         if _tied(h, kappa):
-            hb = _bump(h, kappa, up)
+            hb = upper(h, kappa)
             prev = out.get(hb)
             if prev is not None:
                 val = val - prev.shift(1)
@@ -325,11 +322,8 @@ def column_to_parabolic(
 
 
 def _pair_kind(b: SignedSeq, kappa: int) -> str:
-    if b.bits[kappa - 1] == 0 and b.bits[kappa] == 1:
-        return "VW"
-    if b.bits[kappa - 1] == 1 and b.bits[kappa] == 0:
-        return "WV"
-    raise ValueError(f"no mixed pair at position {kappa} of {b}")
+    _check_adjacent(b, kappa)
+    return "VW" if b.bits[kappa - 1] == 0 else "WV"
 
 
 def parabolic_columns(
@@ -373,7 +367,7 @@ def adjacency_transport(
     U-coordinates by f -> f^U; the receiving side is recomputed
     independently and compared on the safe sub-box.
     """
-    if b.bits[kappa - 1] != 0 or b.bits[kappa] != 1:
+    if _pair_kind(b, kappa) != "VW":
         raise ValueError("transport starts from the (0,1) side of the pair")
     k = k if k is not None else auto_level(b, f)
     bp = b.swap(kappa)
@@ -523,15 +517,12 @@ class BklTable:
         return cls(window, kind, ent)
 
     def to_json(self) -> dict:
-        def key(x):
-            return ",".join(str(v) for v in x)
-
         return {
             "b": str(self.window.b),
             "k": self.window.k,
             "kind": self.kind,
             "entries": [
-                {"g": key(g), "f": key(f), "poly": c.to_json()}
+                {"g": format_weight(g), "f": format_weight(f), "poly": c.to_json()}
                 for (g, f), c in sorted(self.entries.items())
             ],
         }

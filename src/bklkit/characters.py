@@ -17,6 +17,7 @@ from .combinat import (
     format_weight,
     lambda_L,
     lambda_U,
+    swap_slots,
     weight_to_f,
 )
 from .scalars import Laurent, ZERO
@@ -72,12 +73,6 @@ def tilting_character(b: SignedSeq, lam: tuple, k: int | None = None) -> Charact
     return _expansion(b, lam, TILTING, k)
 
 
-def _swap_weight(mu: tuple, kappa: int) -> tuple:
-    g = list(mu)
-    g[kappa - 1], g[kappa] = g[kappa], g[kappa - 1]
-    return tuple(g)
-
-
 def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = None):
     """A character computed on both sides of an odd reflection must agree.
 
@@ -88,8 +83,6 @@ def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = N
     telescoped into parabolic-N coefficients, where comparison is finite
     and exact on the safe part of the window.  Mismatch raises.
     """
-    if b.bits[kappa - 1] == b.bits[kappa]:
-        raise ValueError(f"{b} has no mixed pair at {kappa}")
     bp = b.swap(kappa)
     lam = tuple(lam)
     f = weight_to_f(b, lam)
@@ -101,7 +94,7 @@ def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = N
         there = _expansion(bp, lam_p, kind, k)
         rewritten = {}
         for mu, mult in here.terms.items():
-            rewritten[_swap_weight(weight_to_f(b, mu), kappa)] = Laurent(mult)
+            rewritten[swap_slots(weight_to_f(b, mu), kappa)] = Laurent(mult)
         direct = {weight_to_f(bp, mu): Laurent(mult) for mu, mult in there.terms.items()}
         na = column_to_parabolic(rewritten, kappa, pair, "N", k)
         nb = column_to_parabolic(direct, kappa, pair, "N", k)

@@ -76,11 +76,8 @@ class SignedSeq:
 
     def swap(self, kappa: int) -> "SignedSeq":
         """The adjacent sequence obtained by swapping slots kappa, kappa+1."""
-        b = list(self.bits)
-        if b[kappa - 1] == b[kappa]:
-            raise ValueError("slots are not of mixed type")
-        b[kappa - 1], b[kappa] = b[kappa], b[kappa - 1]
-        return SignedSeq(tuple(b))
+        _check_adjacent(self, kappa)
+        return SignedSeq(swap_slots(self.bits, kappa))
 
     def extend(self, bit: int, count: int) -> "SignedSeq":
         return SignedSeq(self.bits + (bit,) * count)
@@ -268,7 +265,8 @@ def f_to_weight(b: SignedSeq, f: Weight) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-def _swap(f: Weight, kappa: int) -> Weight:
+def swap_slots(f: Weight, kappa: int) -> Weight:
+    """f with its slots kappa, kappa+1 exchanged."""
     g = list(f)
     g[kappa - 1], g[kappa] = g[kappa], g[kappa - 1]
     return tuple(g)
@@ -277,7 +275,7 @@ def _swap(f: Weight, kappa: int) -> Weight:
 def f_L(f: Weight, kappa: int) -> Weight:
     """Swap slots kappa, kappa+1, or bump both up when the values tie."""
     if f[kappa - 1] != f[kappa]:
-        return _swap(f, kappa)
+        return swap_slots(f, kappa)
     g = list(f)
     g[kappa - 1] += 1
     g[kappa] += 1
@@ -287,7 +285,7 @@ def f_L(f: Weight, kappa: int) -> Weight:
 def f_U(f: Weight, kappa: int) -> Weight:
     """Swap slots kappa, kappa+1, or bump both down when the values tie."""
     if f[kappa - 1] != f[kappa]:
-        return _swap(f, kappa)
+        return swap_slots(f, kappa)
     g = list(f)
     g[kappa - 1] -= 1
     g[kappa] -= 1
@@ -295,6 +293,7 @@ def f_U(f: Weight, kappa: int) -> Weight:
 
 
 def _check_adjacent(b: SignedSeq, kappa: int):
+    """ValueError unless 1 <= kappa < len(b) and slots kappa, kappa+1 differ."""
     if not (1 <= kappa < len(b)) or b.bits[kappa - 1] == b.bits[kappa]:
         raise ValueError(f"sequence {b} has no mixed pair at position {kappa}")
 
@@ -312,7 +311,7 @@ def lambda_L(b: SignedSeq, kappa: int, lam: Weight) -> Weight:
     if pairing != 0:
         mu[kappa - 1] -= 1
         mu[kappa] += 1
-    return _swap(tuple(mu), kappa)
+    return swap_slots(mu, kappa)
 
 
 def lambda_U(b: SignedSeq, kappa: int, lam: Weight) -> Weight:
@@ -326,7 +325,7 @@ def lambda_U(b: SignedSeq, kappa: int, lam: Weight) -> Weight:
     else:
         mu[kappa - 1] -= 1
         mu[kappa] += 1
-    return _swap(tuple(mu), kappa)
+    return swap_slots(mu, kappa)
 
 
 # ---------------------------------------------------------------------------

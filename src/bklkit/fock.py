@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .combinat import SignedSeq, wt_signature
+from .combinat import SignedSeq, format_weight, wt_signature
 from .scalars import Laurent, ONE, ZERO, addmul, gauss_fact
 
 
@@ -58,12 +58,6 @@ class Window:
         side, kw = self.wedge
         return Window(self.b.extend(0 if side == "V" else 1, kw), self.k)
 
-    def extended_bits(self) -> tuple:
-        if self.wedge is None:
-            return self.b.bits
-        side, kw = self.wedge
-        return self.b.bits + ((0 if side == "V" else 1),) * kw
-
     def valid_index(self, f: tuple) -> bool:
         if len(f) != self.total_len:
             return False
@@ -95,7 +89,7 @@ class Window:
 
 def _weight_classes(window: Window) -> dict:
     """The whole basis of the window grouped by wt_signature (a full scan)."""
-    b = SignedSeq(window.extended_bits())
+    b = window.extended().b
     out: dict = {}
     for f in window.basis():
         out.setdefault(wt_signature(b, f), []).append(f)
@@ -149,9 +143,9 @@ class FockVector:
         }
         terms = []
         for f in sorted(self.terms):
-            item = {"f": ",".join(str(v) for v in f[:mn])}
+            item = {"f": format_weight(f[:mn])}
             if wedge:
-                item["u"] = ",".join(str(v) for v in f[mn:])
+                item["u"] = format_weight(f[mn:])
             item["poly"] = self.terms[f].to_json()
             terms.append(item)
         return {"window": entry, "terms": terms}

@@ -56,6 +56,9 @@ def perm_bruhat_leq(u: tuple, w: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_MINUS_Z = -Z_QMQINV
+
+
 class HeckeElt:
     """Sparse element of the Hecke algebra of S_m."""
 
@@ -75,11 +78,7 @@ class HeckeElt:
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         c = dict(self.c)
         for p, v in other.c.items():
-            s = c.get(p, ZERO) + v
-            if s:
-                c[p] = s
-            else:
-                c.pop(p, None)
+            addmul(c, p, v)
         return HeckeElt(self.m, c)
 
     def scale(self, x: Laurent) -> "HeckeElt":
@@ -89,15 +88,11 @@ class HeckeElt:
         """Right multiplication by H_i (1-based generator index)."""
         out: dict = {}
         i -= 1
-        minus_z = Laurent({1: -1, -1: 1})
         for p, v in self.c.items():
-            ps = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
-            if p[i] < p[i + 1]:
-                out[ps] = out.get(ps, ZERO) + v
-            else:
-                out[ps] = out.get(ps, ZERO) + v
-                out[p] = out.get(p, ZERO) + v * minus_z
-        return HeckeElt(self.m, {p: v for p, v in out.items() if v})
+            addmul(out, p[:i] + (p[i + 1], p[i]) + p[i + 2 :], v)
+            if p[i] > p[i + 1]:
+                addmul(out, p, v, _MINUS_Z)
+        return HeckeElt(self.m, out)
 
     def times_h_inv(self, i: int) -> "HeckeElt":
         """H_i^{-1} = H_i + (q - q^{-1})."""

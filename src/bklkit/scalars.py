@@ -1,6 +1,9 @@
 """Exact scalar arithmetic: integer Laurent polynomials in q, the sparse
 accumulate helper addmul, and the Gauss integers [r] and [r]!.
 
+addmul holds the only loop that adds Laurent coefficients exponent by
+exponent; Laurent + and * and every sparse sum in the package call it.
+
 Everything is exact; there is no floating point anywhere in the package.
 Coefficients are Python ints, so products of structure constants can grow
 past 64 bits without harm.
@@ -84,14 +87,9 @@ class Laurent:
     def __add__(self, other) -> "Laurent":
         if isinstance(other, int):
             other = Laurent(other)
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, 0) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        return Laurent(_raw=c)
+        acc = {0: self}
+        addmul(acc, 0, other)
+        return acc.get(0, ZERO)
 
     __radd__ = __add__
 
@@ -111,16 +109,9 @@ class Laurent:
             if other == 0:
                 return ZERO
             return Laurent(_raw={e: v * other for e, v in self.c.items()})
-        c: dict = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        return Laurent(_raw=c)
+        acc: dict = {}
+        addmul(acc, 0, self, other)
+        return acc.get(0, ZERO)
 
     __rmul__ = __mul__
 
@@ -241,38 +232,33 @@ QINV = Laurent({-1: 1})
 Z_QMQINV = Laurent({1: 1, -1: -1})  # q - q^-1
 
 
+_UNIT = ((0, 1),)  # the coefficient items of ONE
+
+
 def addmul(acc: dict, key, x: Laurent, y: Laurent | None = None) -> None:
     """acc[key] += x*y (x alone when y is None); a zero sum drops the key.
 
-    The sum is a new Laurent: neither x, y nor the value already stored
-    under key is mutated, because bar rows and columns share coefficients
-    (one object per distinct value within a BarContext).
+    The one loop in the package that adds Laurent coefficients: Laurent's
+    own + and * run through it, so it never calls them.  The sum is a new
+    Laurent: neither x, y nor the value already stored under key is
+    mutated, because bar rows and columns share coefficients (one object
+    per distinct value within a BarContext).  With y None and no value
+    stored, x itself is stored.
     """
     old = acc.get(key)
-    if old is None:
-        if y is None:
-            if x.c:
-                acc[key] = x
-            return
-        c: dict = {}
-    else:
-        c = dict(old.c)
-    if y is None:
-        for e, v in x.c.items():
-            w = c.get(e, 0) + v
+    if old is None and y is None:
+        if x.c:
+            acc[key] = x
+        return
+    c = {} if old is None else dict(old.c)
+    for e2, v2 in _UNIT if y is None else y.c.items():
+        for e1, v1 in x.c.items():
+            e = e1 + e2
+            w = c.get(e, 0) + v1 * v2
             if w:
                 c[e] = w
             else:
                 del c[e]
-    else:
-        for e1, v1 in x.c.items():
-            for e2, v2 in y.c.items():
-                e = e1 + e2
-                w = c.get(e, 0) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
     if c:
         acc[key] = Laurent(_raw=c)
     else:

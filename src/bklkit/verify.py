@@ -64,6 +64,13 @@ class Suite:
         return all(r.ok for r in self.results)
 
 
+def _sequences(max_rank: int, min_rank: int = 0):
+    """Every 0^m1^n-sequence with min_rank <= m+n <= max_rank, by rank, then m."""
+    for rank in range(min_rank, max_rank + 1):
+        for m in range(rank + 1):
+            yield from SignedSeq.all_sequences(m, rank - m)
+
+
 def _partitions_up_to(n: int):
     out = [()]
 
@@ -101,16 +108,15 @@ def suite_involution(max_rank: int = 4, max_window: int = 4) -> Suite:
     """bar is an involution: sum_h r_{gh} bar(r_{hf}) = delta_{gf} for every
     in-window pair, every sequence up to the rank bound."""
     s = Suite()
-    for rank in range(1, max_rank + 1):
-        k = max_window if rank < 4 else min(max_window, 4)
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                def check(b=b, k=k):
-                    t = bar_table(Window(b, k))
-                    t.check_unitriangular()
-                    return f"{len(t.rows)} rows, window {k}"
+    for b in _sequences(max_rank, 1):
+        k = max_window if len(b) < 4 else min(max_window, 4)
 
-                s.run(f"involution b={b} k={k}", check)
+        def check(b=b, k=k):
+            t = bar_table(Window(b, k))
+            t.check_unitriangular()
+            return f"{len(t.rows)} rows, window {k}"
+
+        s.run(f"involution b={b} k={k}", check)
     return s
 
 
@@ -162,23 +168,21 @@ def _table_degree_scan(entries: dict, kind: str):
 def suite_triangularity(max_rank: int = 3, max_window: int = 3) -> Suite:
     """Diagonals 1, strict Bruhat descent, t in qZ[q] and l in q^-1 Z[q^-1]."""
     s = Suite()
-    for rank in range(1, max_rank + 1):
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                def check(b=b):
-                    eng = engine(Window(b, max_window))
-                    n = 0
-                    for kind in (CANONICAL, DUAL):
-                        for f, col in eng.table(kind).items():
-                            if col.get(f) != ONE:
-                                raise AssertionError(f"diagonal at {f} is {col.get(f)}")
-                            _table_degree_scan(
-                                {(g, f): c for g, c in col.items()}, kind
-                            )
-                            n += 1
-                    return f"{n} columns"
+    for b in _sequences(max_rank, 1):
+        def check(b=b):
+            eng = engine(Window(b, max_window))
+            n = 0
+            for kind in (CANONICAL, DUAL):
+                for f, col in eng.table(kind).items():
+                    if col.get(f) != ONE:
+                        raise AssertionError(f"diagonal at {f} is {col.get(f)}")
+                    _table_degree_scan(
+                        {(g, f): c for g, c in col.items()}, kind
+                    )
+                    n += 1
+            return f"{n} columns"
 
-                s.run(f"triangularity b={b} k={max_window}", check)
+        s.run(f"triangularity b={b} k={max_window}", check)
     return s
 
 
@@ -205,14 +209,10 @@ def _expand_in_canonical(eng: BklEngine, vec: dict):
 def suite_positivity(max_rank: int = 4, max_window: int = 4) -> Suite:
     """t in N[q], l(-q^-1) in N[q]; E_a T_f expands T-positively."""
     s = Suite()
-    plans = []
-    for rank in range(1, max_rank + 1):
-        k = 3 if rank <= 3 else 2
+    for b in _sequences(max_rank, 1):
+        k = 3 if len(b) <= 3 else 2
         k = min(k, max_window)
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                plans.append((b, k))
-    for b, k in plans:
+
         def check(b=b, k=k):
             eng = engine(Window(b, k))
             checked = 0
@@ -289,21 +289,18 @@ def suite_shift(count: int = 100, max_rank: int = 3, seed: int = 11) -> Suite:
 def suite_adjacency(max_rank: int = 4) -> Suite:
     """Parabolic l-check / t-check tables agree across every odd swap."""
     s = Suite()
-    for rank in range(2, max_rank + 1):
-        box = 1
-        k = 3 if rank <= 3 else 2
-        for m in range(1, rank):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                for kappa in b.adjacent_positions():
-                    def check(b=b, kappa=kappa, k=k, box=box):
-                        n = 0
-                        for f in product(range(-box, box + 1), repeat=len(b)):
-                            adjacency_transport(b, kappa, f, DUAL, k=k)
-                            adjacency_transport(b, kappa, f, CANONICAL, k=k)
-                            n += 1
-                        return f"{n} columns, window {k}"
+    for b in _sequences(max_rank, 2):
+        k = 3 if len(b) <= 3 else 2
+        for kappa in b.adjacent_positions():
+            def check(b=b, kappa=kappa, k=k):
+                n = 0
+                for f in product(range(-1, 2), repeat=len(b)):
+                    adjacency_transport(b, kappa, f, DUAL, k=k)
+                    adjacency_transport(b, kappa, f, CANONICAL, k=k)
+                    n += 1
+                return f"{n} columns, window {k}"
 
-                    s.run(f"adjacency b={b} kappa={kappa}", check)
+            s.run(f"adjacency b={b} kappa={kappa}", check)
     return s
 
 
@@ -316,12 +313,7 @@ def suite_superduality(max_rank: int = 3, max_size: int = 3, pairs: int = 200) -
     s = Suite()
     parts = [p for p in _partitions_up_to(max_size)]
     kw = max_size
-    seqs = []
-    for rank in range(0, max_rank + 1):
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                seqs.append(b)
-    for b in seqs:
+    for b in _sequences(max_rank):
 
         def check(b=b):
             heads = [(0,) * len(b)]
@@ -367,18 +359,16 @@ def suite_superduality(max_rank: int = 3, max_size: int = 3, pairs: int = 200) -
 def suite_truncation(max_rank: int = 3, max_window: int = 3) -> Suite:
     """Window growth and wedge truncation both restrict columns exactly."""
     s = Suite()
-    for rank in range(1, max_rank + 1):
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                def check_tensor(b=b):
-                    n = 0
-                    for f in product(range(-1, 2), repeat=len(b)):
-                        for kind in (CANONICAL, DUAL):
-                            truncation_consistent_tensor(b, f, kind, max_window)
-                            n += 1
-                    return f"{n} columns"
+    for b in _sequences(max_rank, 1):
+        def check_tensor(b=b):
+            n = 0
+            for f in product(range(-1, 2), repeat=len(b)):
+                for kind in (CANONICAL, DUAL):
+                    truncation_consistent_tensor(b, f, kind, max_window)
+                    n += 1
+            return f"{n} columns"
 
-                s.run(f"window stability b={b}", check_tensor)
+        s.run(f"window stability b={b}", check_tensor)
     for bs in ("", "0", "1", "01"):
         b = SignedSeq.parse(bs)
         for side in ("V", "W"):
@@ -416,11 +406,7 @@ def suite_tensor_wedge(max_rank: int = 2) -> Suite:
     """Wedge duals restrict tensor duals; wedge canonicals are tensor
     canonicals times H_0, gathered in wedge coordinates."""
     s = Suite()
-    seqs = []
-    for rank in range(0, max_rank + 1):
-        for m in range(rank + 1):
-            seqs.extend(SignedSeq.all_sequences(m, rank - m))
-    for b in seqs:
+    for b in _sequences(max_rank):
         for side in ("V", "W"):
             for kw in (1, 2):
                 def check(b=b, side=side, kw=kw):
@@ -519,18 +505,16 @@ def suite_odd_reflection() -> Suite:
 def suite_parabolic(max_rank: int = 3) -> Suite:
     """Degree classes and refined support of the N/U coordinate columns."""
     s = Suite()
-    for rank in range(2, max_rank + 1):
-        for m in range(1, rank):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                for kappa in b.adjacent_positions():
-                    def check(b=b, kappa=kappa):
-                        n = 0
-                        for f in product(range(-1, 2), repeat=len(b)):
-                            parabolic_columns(b, kappa, f, k=3)
-                            n += 1
-                        return f"{n} columns"
+    for b in _sequences(max_rank, 2):
+        for kappa in b.adjacent_positions():
+            def check(b=b, kappa=kappa):
+                n = 0
+                for f in product(range(-1, 2), repeat=len(b)):
+                    parabolic_columns(b, kappa, f, k=3)
+                    n += 1
+                return f"{n} columns"
 
-                    s.run(f"parabolic b={b} kappa={kappa}", check)
+            s.run(f"parabolic b={b} kappa={kappa}", check)
     return s
 
 

@@ -31,7 +31,8 @@ from bklkit.canonical import (
     wedge_bkl,
     wedge_vs_tensor_dual,
 )
-from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, wt_signature
+from bklkit.characters import odd_reflection_check
+from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, lambda_L, wt_signature
 from bklkit.fock import Window
 from bklkit.oracle import rank2_forms
 from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, q_power
@@ -370,6 +371,24 @@ def test_parabolic_rank2_facts():
     lch, tch = parabolic_columns(b, 1, (0, 2), k=5)
     assert lch == {(0, 2): ONE}
     assert tch == {(0, 2): ONE}
+
+
+@pytest.mark.parametrize("kappa", [0, -1, 2])
+def test_a_pair_position_outside_the_sequence_is_rejected(kappa):
+    # 10 has its one mixed pair at kappa = 1; kappa 0 and -1 must not wrap
+    # round to it, and kappa = len(b) must not reach past the end
+    b = SignedSeq.parse("10")
+    assert _pair_kind(b, 1) == "WV" and str(b.swap(1)) == "01"
+    calls = [
+        lambda: b.swap(kappa),
+        lambda: _pair_kind(b, kappa),
+        lambda: adjacency_transport(b, kappa, (0, 0), DUAL, k=3),
+        lambda: odd_reflection_check(b, kappa, (0, 0)),
+        lambda: lambda_L(b, kappa, (0, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"no mixed pair at position {kappa}"):
+            call()
 
 
 def test_tied_rank2_columns_are_one_parabolic_vector():

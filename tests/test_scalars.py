@@ -27,6 +27,23 @@ laurents = st.dictionaries(
 ).map(Laurent)
 
 
+def conv(*pairs):
+    """sum of x*y over pairs of {exponent: int} dicts, zero coefficients dropped.
+
+    The reference the Laurent arithmetic is checked against: a plain
+    convolution over int dicts, with no Laurent and no addmul in it.
+    """
+    out = {}
+    for x, y in pairs:
+        for e1, v1 in x.items():
+            for e2, v2 in y.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+UNIT = {0: 1}
+
+
 def test_inexact_input_rejected():
     for bad in ({0: 1.5}, {0.7: 2}, {1: 2.0}):
         with pytest.raises(TypeError):
@@ -94,14 +111,45 @@ def test_addmul_never_mutates_its_inputs(stored, x, y):
     addmul(acc, "k", x)
     assert (dict(stored.c), dict(x.c), dict(y.c)) == snapshot
     assert [{g: dict(c.c) for g, c in row.items()} for row in rows] == before
-    want = stored + x * y + x
-    assert acc == ({"k": want} if want else {})
+    want = conv((stored.c, UNIT), (x.c, y.c), (x.c, UNIT))
+    assert acc == ({"k": Laurent(want)} if want else {})
     # an absent key with y None may store x itself: rows share coefficients
     fresh = {}
     addmul(fresh, "k", x)
     addmul(fresh, "k", y)
     assert dict(x.c) == snapshot[1]
-    assert fresh == ({"k": x + y} if x + y else {})
+    want = conv((x.c, UNIT), (y.c, UNIT))
+    assert fresh == ({"k": Laurent(want)} if want else {})
+
+
+@given(laurents, laurents, laurents, st.integers(min_value=-9, max_value=9))
+def test_arithmetic_matches_a_reference_convolution(x, y, z, n):
+    cx, cy, cz, cn = x.c, y.c, z.c, {0: n} if n else {}
+    assert (x + y).c == conv((cx, UNIT), (cy, UNIT))
+    assert (x - y).c == conv((cx, UNIT), (cy, {0: -1}))
+    assert (x * y).c == conv((cx, cy))
+    assert (x * y * z).c == conv((conv((cx, cy)), cz))
+    # int operands on either side
+    assert (x + n).c == (n + x).c == conv((cx, UNIT), (cn, UNIT))
+    assert (x - n).c == conv((cx, UNIT), (cn, {0: -1}))
+    assert (n - x).c == conv((cn, UNIT), (cx, {0: -1}))
+    assert (x * n).c == (n * x).c == conv((cx, cn))
+    # sum() starts at the int 0
+    assert sum([x, y, z]).c == conv((cx, UNIT), (cy, UNIT), (cz, UNIT))
+    assert sum([]) == ZERO
+    acc = {"k": x}
+    addmul(acc, "k", y, z)
+    addmul(acc, "k", z)
+    want = conv((cx, UNIT), (cy, cz), (cz, UNIT))
+    assert acc == ({"k": Laurent(want)} if want else {})
+    # cancellation gives ZERO, and addmul drops the key
+    assert (x + -x) == ZERO and (x - x) == 0 and not (x * y - y * x).c
+    acc = {"k": x, "other": ONE}
+    addmul(acc, "k", -x)
+    assert acc == {"other": ONE}
+    addmul(acc, "k", x, y)
+    addmul(acc, "k", -x, y)
+    assert acc == {"other": ONE}
 
 
 def test_a_constant_hashes_like_its_int():
