@@ -201,7 +201,7 @@ def bar_row_rl(window: Window, f: tuple) -> dict:
         win = Window(SignedSeq(bits[p + 1 :]), k)
 
         def act(terms, a):
-            return _act_raw(win, terms, "F", a, project=True)
+            return _act_raw(win, terms, "F", a)
 
         # each move c -> d adds (q - q^-1) Fb(min, max) base, with d in front
         for d in range(c + 1, k + 1) if up else range(-k, c):
@@ -372,13 +372,13 @@ def equivariance_defect(ctx: BarContext, f: tuple, a: int):
     """
     win = ctx.window
     for kind in ("E", "F"):
-        moved = _act_raw(win, {tuple(f): ONE}, kind, a, project=True)
+        moved = _act_raw(win, {tuple(f): ONE}, kind, a)
         lhs: dict = {}
         for h, c in moved.items():
             cb = c.bar()
             for g, r in ctx.row(h).items():
                 addmul(lhs, g, r, cb)
-        rhs = _act_raw(win, ctx.row(tuple(f)), kind, a, project=True)
+        rhs = _act_raw(win, ctx.row(tuple(f)), kind, a)
         if lhs != rhs:
             return (lhs, rhs)
     return None

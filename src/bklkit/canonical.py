@@ -232,7 +232,7 @@ def _agree(a: dict, b: dict, keep, what: str) -> None:
 
 
 def tensor_to_wedge_canonical(
-    b: SignedSeq, side: str, kw: int, f: tuple, k: int | None = None
+    b: SignedSeq, side: str, kw: int, f: tuple, k: int
 ) -> dict:
     """The canonical wedge column of f, checked against the tensor level.
 
@@ -240,7 +240,6 @@ def tensor_to_wedge_canonical(
     coordinates, must equal the wedge column entry by entry; a mismatch
     is a hard error.  Returns the wedge column.
     """
-    k = k if k is not None else auto_level(b, f, kw)
     mn = len(b)
     wwin = Window(b, k, (side, kw))
     f = tuple(f)
@@ -251,12 +250,9 @@ def tensor_to_wedge_canonical(
     return direct
 
 
-def wedge_vs_tensor_dual(
-    b: SignedSeq, side: str, kw: int, f: tuple, k: int | None = None
-) -> dict:
+def wedge_vs_tensor_dual(b: SignedSeq, side: str, kw: int, f: tuple, k: int) -> dict:
     """The dual wedge column of f equals the tensor column at the same
     sorted indices; a mismatch is a hard error.  Returns the wedge column."""
-    k = k if k is not None else auto_level(b, f, kw)
     wwin = Window(b, k, (side, kw))
     f = tuple(f)
     direct = engine(wwin).column(f, DUAL).entries
@@ -326,16 +322,13 @@ def _pair_kind(b: SignedSeq, kappa: int) -> str:
     return "VW" if b.bits[kappa - 1] == 0 else "WV"
 
 
-def parabolic_columns(
-    b: SignedSeq, kappa: int, f: tuple, k: int | None = None
-) -> tuple:
+def parabolic_columns(b: SignedSeq, kappa: int, f: tuple, k: int) -> tuple:
     """(l-check, t-check) columns of f in N and U coordinates.
 
     Verifies degree classes and the refined support conditions (both
     orders must strictly descend) before returning.
     """
     pair_kind = _pair_kind(b, kappa)
-    k = k if k is not None else auto_level(b, f)
     bp = b.swap(kappa)
     eng = engine(Window(b, k))
     lcol = eng.column(tuple(f), DUAL)
@@ -358,9 +351,7 @@ def parabolic_columns(
     return lcheck, tcheck
 
 
-def adjacency_transport(
-    b: SignedSeq, kappa: int, f: tuple, kind: str, k: int | None = None
-) -> dict:
+def adjacency_transport(b: SignedSeq, kappa: int, f: tuple, kind: str, k: int) -> dict:
     """Transport a column across the odd swap and verify it from scratch.
 
     Dual columns relabel N-coordinates by f -> f^L, canonical ones
@@ -369,7 +360,6 @@ def adjacency_transport(
     """
     if _pair_kind(b, kappa) != "VW":
         raise ValueError("transport starts from the (0,1) side of the pair")
-    k = k if k is not None else auto_level(b, f)
     bp = b.swap(kappa)
     f = tuple(f)
     lcheck, tcheck = parabolic_columns(b, kappa, f, k)
@@ -424,11 +414,11 @@ def superduality_compare(
     return lhs, rhs
 
 
-def superduality_order_preserved(b: SignedSeq, x: WedgeIndex, y: WedgeIndex, depth: int | None = None) -> bool:
+def superduality_order_preserved(b: SignedSeq, x: WedgeIndex, y: WedgeIndex) -> bool:
     """Bruhat comparability agrees on the two sides of the bijection."""
     if x.side != "V" or y.side != "V":
         raise ValueError("compare V-side indices")
-    n = depth if depth is not None else max(len(x.parts), len(y.parts), 1)
+    n = max(len(x.parts), len(y.parts), 1)
     xn, yn = natural_bij(x), natural_bij(y)
     nn = max(len(xn.parts), len(yn.parts), n)
     bv = SignedSeq(b.bits + (0,) * nn)

@@ -57,7 +57,7 @@ def _expansion(b: SignedSeq, lam: tuple, kind: str, k: int | None) -> CharacterE
     col = bkl(b, f, DUAL if kind == IRREDUCIBLE else CANONICAL, k=k, check_stability=False)
     terms = {}
     for g, c in col.entries.items():
-        v = c.ev(1)
+        v = c.ev()
         if v:
             terms[f_to_weight(b, g)] = v
     return CharacterExpansion(b, kind, lam, k, terms)
@@ -73,7 +73,7 @@ def tilting_character(b: SignedSeq, lam: tuple, k: int | None = None) -> Charact
     return _expansion(b, lam, TILTING, k)
 
 
-def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = None):
+def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple):
     """A character computed on both sides of an odd reflection must agree.
 
     Every Verma of the first Borel is rewritten as a Verma of the second
@@ -86,7 +86,7 @@ def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = N
     bp = b.swap(kappa)
     lam = tuple(lam)
     f = weight_to_f(b, lam)
-    k = k if k is not None else auto_level(b, f) + 1
+    k = auto_level(b, f) + 1
     pair = _pair_kind(bp, kappa)  # ties bump along bp's pair
     for kind, move in ((IRREDUCIBLE, lambda_L), (TILTING, lambda_U)):
         here = _expansion(b, lam, kind, k)
@@ -102,7 +102,7 @@ def odd_reflection_check(b: SignedSeq, kappa: int, lam: tuple, k: int | None = N
         for h in set(na) | set(nb):
             if max(abs(v) for v in h) > safe:
                 continue
-            x, y = na.get(h, ZERO).ev(1), nb.get(h, ZERO).ev(1)
+            x, y = na.get(h, ZERO).ev(), nb.get(h, ZERO).ev()
             if x != y:
                 raise AssertionError(
                     f"odd reflection mismatch for {kind} at lam={lam}, b={b}, "

@@ -7,7 +7,7 @@ under a two-level hash directory; a cache hit is returned byte-identically
 and never recomputed unless --no-cache.
 
 Exit codes: 0 success, 2 usage error (raised while the input is parsed), 1
-any later failure, with its diagnostic.
+any later failure, with its diagnostic (a verify run with no check is one).
 """
 from __future__ import annotations
 
@@ -95,7 +95,7 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
                 {
                     "g": item["g"],
                     **({"u": item["u"]} if "u" in item else {}),
-                    "mult": Laurent.from_json(item["poly"]).ev(1),
+                    "mult": Laurent.from_json(item["poly"]).ev(),
                 }
                 for item in payload["column"]
             ]
@@ -111,7 +111,7 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
                 row.append(item["u"].replace(",", " "))
             row.append(_poly_compact(poly))
             if at_q1:
-                row.append(str(poly.ev(1)))
+                row.append(str(poly.ev()))
             lines.append(",".join(row))
         return "\n".join(lines)
     if fmt == "tex":
@@ -120,7 +120,7 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
         for item in payload["column"]:
             poly = Laurent.from_json(item["poly"])
             gidx = item["g"] + (";" + item["u"] if "u" in item else "")
-            val = str(poly.ev(1)) if at_q1 else _poly_tex(poly)
+            val = str(poly.ev()) if at_q1 else _poly_tex(poly)
             lines.append(f"{kindsym}_{{({gidx}),({fidx})}} &= {val} \\\\")
         return "\n".join(lines)
     raise UsageError(f"unknown format {fmt!r}")
@@ -229,7 +229,14 @@ def cmd_char(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in (*SUITES, "all"):
         raise UsageError(f"unknown suite {args.suite!r}; try {', '.join(SUITES)} or all")
+    for flag, v in (("--max-rank", args.max_rank), ("--max-window", args.max_window)):
+        if v <= 0:
+            raise UsageError(f"{flag} {v} is not positive")
     suite = run_suite(args.suite, max_rank=args.max_rank, max_window=args.max_window)
+    if not suite.results:
+        where = f"--max-rank {args.max_rank} --max-window {args.max_window}"
+        print(f"no check ran for suite {args.suite} at {where}", file=sys.stderr)
+        return 1
     for r in suite.results:
         status = "PASS" if r.ok else "FAIL"
         detail = f"  [{r.detail}]" if r.detail else ""
@@ -289,7 +296,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ValueError, KeyError) as exc:
+    except (AssertionError, ValueError, KeyError, OSError) as exc:
         print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -8,21 +8,16 @@ side).  Vectors are sparse maps from basis indices to Laurent scalars.
 Chevalley generators act positionwise through the comultiplication
 Delta(E_a) = 1 (x) E_a + E_a (x) K_{a+1,a} and
 Delta(F_a) = F_a (x) 1 + K_{a,a+1} (x) F_a, so E twists to the right of the
-acting slot and F twists to the left.  The wedge tail acts by the
-straightening-free formulas, with the whole tail counting as the rightmost
-coproduct slot.
+acting slot and F twists to the left.  They act on tensor windows and
+drop every term moved outside the window (the window projection).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .combinat import SignedSeq, format_weight, wt_signature
+from .combinat import SignedSeq, wt_signature
 from .scalars import Laurent, ONE, ZERO, addmul, gauss_fact
-
-
-class WindowOverflowError(ValueError):
-    """A generator pushed an index outside the window (and projection was off)."""
 
 
 @dataclass(frozen=True)
@@ -133,43 +128,28 @@ class FockVector:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def to_json(self) -> dict:
-        mn = self.window.tensor_len
-        wedge = self.window.wedge
-        entry = {
-            "b": str(self.window.b),
-            "k": self.window.k,
-            "wedge": f"{wedge[0]}:{wedge[1]}" if wedge else None,
-        }
-        terms = []
-        for f in sorted(self.terms):
-            item = {"f": format_weight(f[:mn])}
-            if wedge:
-                item["u"] = format_weight(f[mn:])
-            item["poly"] = self.terms[f].to_json()
-            terms.append(item)
-        return {"window": entry, "terms": terms}
-
 
 # ---------------------------------------------------------------------------
 # Chevalley action
 # ---------------------------------------------------------------------------
 
 
-def _act_raw(window: Window, terms: dict, kind: str, a: int, project: bool) -> dict:
-    """One application of E_a, F_a, K_a or K_a^-1 on raw term dicts."""
+def _act_raw(window: Window, terms: dict, kind: str, a: int) -> dict:
+    """One application of E_a, F_a, K_a or K_a^-1 on raw term dicts.
+
+    Terms moved outside the window are dropped.
+    """
+    if window.wedge is not None:
+        raise ValueError("the Chevalley action needs a tensor window")
     bits = window.b.bits
     mn = window.tensor_len
     k = window.k
-    side = window.wedge[0] if window.wedge else None
     b = a + 1
     out: dict = {}
     if kind in ("K", "Kinv"):
         sgn = 1 if kind == "K" else -1
-        tsgn = 1 if side == "V" else -1
         for f, coef in terms.items():
             expo = sum(-1 if bits[i] else 1 for i in range(mn) if f[i] == a)
-            expo += tsgn * f[mn:].count(a)
             addmul(out, f, coef.shift(sgn * expo))
         return out
 
@@ -178,17 +158,12 @@ def _act_raw(window: Window, terms: dict, kind: str, a: int, project: bool) -> d
     # The twist K_{a+1,a} (for E) or K_{a,a+1} (for F) of one slot is +1 on a
     # movable entry and -1 on the other value of {a, a+1}, whatever its type.
     # E twists by the slots to the right of the acting one, so its pass runs
-    # right to left starting from the tail's twist; F twists by the slots to
-    # the left and acts on the tail with the twist of the whole head.
+    # right to left; F twists by the slots to the left.
     left = kind == "F"
     src = (a, b) if left else (b, a)
-    tsrc = src[0 if side == "V" else 1]
     slots = range(mn) if left else range(mn - 1, -1, -1)
     for f, coef in terms.items():
-        tail = f[mn:]
         tw = 0
-        if side and not left:
-            tw = tail.count(tsrc) - tail.count(a + b - tsrc)
         for i in slots:
             e = f[i]
             if e != a and e != b:
@@ -199,23 +174,11 @@ def _act_raw(window: Window, terms: dict, kind: str, a: int, project: bool) -> d
             new = a + b - e
             if abs(new) <= k:
                 addmul(out, f[:i] + (new,) + f[i + 1 :], coef.shift(tw))
-            elif not project:
-                raise WindowOverflowError(f"{kind}_{a} leaves window at slot {i}")
             tw += 1
-        if side and tsrc in tail:
-            new = a + b - tsrc
-            if abs(new) > k:
-                if not project:
-                    raise WindowOverflowError(f"{kind}_{a} leaves window in tail")
-            elif new not in tail:  # a repeated entry: the wedge term vanishes
-                t = mn + tail.index(tsrc)
-                addmul(out, f[:t] + (new,) + f[t + 1 :], coef.shift(tw if left else 0))
     return out
 
 
-def apply_gen(
-    v: FockVector, kind: str, a: int, r: int = 1, project: bool = False
-) -> FockVector:
+def apply_gen(v: FockVector, kind: str, a: int, r: int = 1) -> FockVector:
     """Apply E_a^{(r)}, F_a^{(r)}, K_a or K_a^{-1}.
 
     Divided powers are computed as r-fold products divided exactly by [r]!;
@@ -227,7 +190,7 @@ def apply_gen(
         raise ValueError(f"no divided power {r} of {kind}")
     terms = v.terms
     for _ in range(r):
-        terms = _act_raw(v.window, terms, kind, a, project)
+        terms = _act_raw(v.window, terms, kind, a)
     if r > 1:
         fact = gauss_fact(r)
         terms = {f: c.divexact(fact) for f, c in terms.items()}

@@ -203,6 +203,7 @@ def rank2_forms(case: str, f: tuple, k: int) -> tuple:
 
 
 _PRIME = 2**61 - 1  # the rank check works in Z/_PRIME at q = 2
+_MAX_DIM = 400  # the largest window dimension the solver takes
 
 
 def _at_two(c: Laurent) -> int:
@@ -231,7 +232,7 @@ def _rank_mod_prime(rows: list) -> int:
     return len(pivots)
 
 
-def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
+def brute_bar_uniqueness(window: Window) -> dict:
     """Certify that the bar table is the only equivariant unitriangular map.
 
     Unknowns: the below-diagonal coefficients of an antilinear
@@ -251,7 +252,7 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
     if window.wedge is not None:
         raise ValueError("uniqueness solver works on tensor windows")
     basis = list(window.basis())
-    if len(basis) > max_dim:
+    if len(basis) > _MAX_DIM:
         raise ValueError(f"window dimension {len(basis)} too large for the solver")
     b = window.b
     ctx = BarContext(window)
@@ -281,7 +282,7 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
     ]
     for f in basis:
         for kind, a in gens:
-            moved = _act_raw(window, {f: ONE}, kind, a, project=True)
+            moved = _act_raw(window, {f: ONE}, kind, a)
             lin: dict = {}  # output index -> {unknown: coefficient}
             rhs: dict = {}  # output index -> constant term
             # psi(X M_f) = sum_h bar(c_h) (M_h + sum_g x_gh M_g)
@@ -296,7 +297,7 @@ def brute_bar_uniqueness(window: Window, max_dim: int = 400) -> dict:
             for g in classes[wt_signature(b, f)]:
                 j = index.get((g, f))
                 if j is not None:
-                    for h, c in _act_raw(window, {g: ONE}, kind, a, project=True).items():
+                    for h, c in _act_raw(window, {g: ONE}, kind, a).items():
                         addmul(lin.setdefault(h, {}), j, -c)
             for h in set(lin) | set(rhs):
                 coeffs = lin.get(h, {})

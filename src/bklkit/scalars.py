@@ -139,13 +139,9 @@ class Laurent:
         """The involution q -> q^-1 (negate every exponent)."""
         return Laurent(_raw={-e: v for e, v in self.c.items()})
 
-    def ev(self, q0: int) -> int:
-        """Evaluate at q0 = 1 or q0 = -1, the points where q^-1 is an integer."""
-        if q0 == 1:
-            return sum(self.c.values())
-        if q0 == -1:
-            return sum(v if e % 2 == 0 else -v for e, v in self.c.items())
-        raise ValueError(f"Laurent.ev takes q0 = 1 or -1, not {q0!r}")
+    def ev(self) -> int:
+        """The value at q = 1."""
+        return sum(self.c.values())
 
     def degree_class(self) -> DegreeClass:
         if not self.c:

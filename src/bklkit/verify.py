@@ -30,6 +30,7 @@ from .canonical import (
 )
 from .characters import irreducible_character, odd_reflection_check, tilting_character
 from .combinat import (
+    SharpPack,
     SignedSeq,
     WedgeIndex,
     antidominant,
@@ -156,29 +157,28 @@ def suite_bar_properties(max_window: int = 3) -> Suite:
     return s
 
 
-def _table_degree_scan(entries: dict, kind: str):
-    want = DegreeClass.IN_qZq if kind == CANONICAL else DegreeClass.IN_qinvZqinv
-    for (g, f), c in entries.items():
-        if g == f:
-            continue
-        if c and c.degree_class() is not want:
-            raise AssertionError(f"degree class violated at ({g}, {f}): {c!r}")
-
-
 def suite_triangularity(max_rank: int = 3, max_window: int = 3) -> Suite:
     """Diagonals 1, strict Bruhat descent, t in qZ[q] and l in q^-1 Z[q^-1]."""
     s = Suite()
     for b in _sequences(max_rank, 1):
         def check(b=b):
             eng = engine(Window(b, max_window))
+            order = SharpPack(b, -max_window, max_window)
+            packed = {g: order.pack(g) for g in eng.window.basis()}
             n = 0
             for kind in (CANONICAL, DUAL):
+                want = DegreeClass.IN_qZq if kind == CANONICAL else DegreeClass.IN_qinvZqinv
                 for f, col in eng.table(kind).items():
                     if col.get(f) != ONE:
                         raise AssertionError(f"diagonal at {f} is {col.get(f)}")
-                    _table_degree_scan(
-                        {(g, f): c for g, c in col.items()}, kind
-                    )
+                    pf = packed[f]
+                    for g, c in col.items():
+                        if g == f:
+                            continue
+                        if not order.leq(packed[g], pf):
+                            raise AssertionError(f"entry at ({g}, {f}) is not below f: {c!r}")
+                        if c.degree_class() is not want:
+                            raise AssertionError(f"degree class violated at ({g}, {f}): {c!r}")
                     n += 1
             return f"{n} columns"
 
@@ -248,7 +248,7 @@ def suite_positivity(max_rank: int = 4, max_window: int = 4) -> Suite:
                 tcol = eng.column(f, CANONICAL).entries
                 vec = {}
                 for g, c in tcol.items():
-                    for h, w in _act_raw(eng.window, {g: c}, "E", a, True).items():
+                    for h, w in _act_raw(eng.window, {g: c}, "E", a).items():
                         addmul(vec, h, w)
                 for g, c in _expand_in_canonical(eng, vec).items():
                     if any(v < 0 for v in c.c.values()):
@@ -262,14 +262,14 @@ def suite_positivity(max_rank: int = 4, max_window: int = 4) -> Suite:
     return s
 
 
-def suite_shift(count: int = 100, max_rank: int = 3, seed: int = 11) -> Suite:
+def suite_shift(max_rank: int = 3) -> Suite:
     """Columns are invariant under the overall index shift."""
     s = Suite()
-    rng = random.Random(seed)
+    rng = random.Random(11)
 
     def check():
         draws = []
-        for i in range(count):
+        for _ in range(100):
             rank = rng.randint(1, max_rank)
             bits = tuple(rng.randint(0, 1) for _ in range(rank))
             f = tuple(rng.randint(-2, 2) for _ in range(rank))
@@ -280,7 +280,7 @@ def suite_shift(count: int = 100, max_rank: int = 3, seed: int = 11) -> Suite:
         draws.sort(key=lambda d: (d[0], max(abs(v + s) for v in d[1] for s in (0, d[2]))))
         for bits, f, p, kind in draws:
             shift_column_invariant(SignedSeq(bits), f, p, kind)
-        return f"{count} random instances"
+        return f"{len(draws)} random instances"
 
     s.run("shift invariance", check)
     return s
@@ -304,15 +304,15 @@ def suite_adjacency(max_rank: int = 4) -> Suite:
     return s
 
 
-def suite_superduality(max_rank: int = 3, max_size: int = 3, pairs: int = 200) -> Suite:
+def suite_superduality(max_rank: int = 3) -> Suite:
     """Tail conjugation preserves BKL polynomials and the Bruhat order.
 
     Both sides share one window per sequence: the truncation level is the
     max partition size, so a single column serves every compared tail.
     """
     s = Suite()
-    parts = [p for p in _partitions_up_to(max_size)]
-    kw = max_size
+    kw = 3
+    parts = _partitions_up_to(kw)
     for b in _sequences(max_rank):
 
         def check(b=b):
@@ -338,14 +338,14 @@ def suite_superduality(max_rank: int = 3, max_size: int = 3, pairs: int = 200) -
     def check_order():
         rng2 = random.Random(17)
         n = 0
-        for _ in range(pairs):
+        for _ in range(200):
             rank = rng2.randint(0, max_rank)
             bits = tuple(rng2.randint(0, 1) for _ in range(rank))
             b = SignedSeq(bits)
             head1 = tuple(rng2.randint(-2, 2) for _ in range(rank))
             head2 = tuple(rng2.randint(-2, 2) for _ in range(rank))
-            lam = rng2.choice(_partitions_up_to(3))
-            mu = rng2.choice(_partitions_up_to(3))
+            lam = rng2.choice(parts)
+            mu = rng2.choice(parts)
             superduality_order_preserved(
                 b, WedgeIndex(head1, "V", lam), WedgeIndex(head2, "V", mu)
             )
@@ -425,10 +425,10 @@ def suite_tensor_wedge(max_rank: int = 2) -> Suite:
     return s
 
 
-def suite_kl_oracle(max_m: int = 3) -> Suite:
+def suite_kl_oracle() -> Suite:
     """Classical endpoints: the Hecke KL oracle and typical weights."""
     s = Suite()
-    for m in range(2, max_m + 1):
+    for m in (2, 3):
         s.run(
             f"Schur-Jimbo dictionary m={m}",
             lambda m=m: ("ok" if schur_jimbo_match(m, tuple(range(1, m + 1)), m + 2) else "no"),
@@ -532,8 +532,8 @@ SUITES = {
         min(max_rank, 3), min(max_window, 3)
     ),
     "tensor-wedge": lambda max_rank, max_window: suite_tensor_wedge(min(max_rank, 2)),
-    "shift": lambda max_rank, max_window: suite_shift(100, min(max_rank, 3)),
-    "kl-oracle": lambda max_rank, max_window: suite_kl_oracle(3),
+    "shift": lambda max_rank, max_window: suite_shift(min(max_rank, 3)),
+    "kl-oracle": lambda max_rank, max_window: suite_kl_oracle(),
     "odd-reflection": lambda max_rank, max_window: suite_odd_reflection(),
     "parabolic": lambda max_rank, max_window: suite_parabolic(min(max_rank, 3)),
 }

@@ -53,7 +53,7 @@ def test_criterion_02_involution():
 
 def test_criterion_03_triangularity():
     s = suite_triangularity(max_rank=3, max_window=3)
-    _gate("criterion 3: diagonals 1, t in qZ[q], l in q^-1Z[q^-1]", s)
+    _gate("criterion 3: diagonals 1, entries below f, t in qZ[q], l in q^-1Z[q^-1]", s)
 
 
 def test_criterion_04_positivity():
@@ -62,7 +62,7 @@ def test_criterion_04_positivity():
 
 
 def test_criterion_05_shift_invariance():
-    s = suite_shift(count=100)
+    s = suite_shift()
     _gate("criterion 5: shift invariance on 100 random (b, f, p)", s)
 
 
@@ -72,7 +72,7 @@ def test_criterion_06_adjacency():
 
 
 def test_criterion_07_superduality():
-    s = suite_superduality(max_rank=3, max_size=3, pairs=200)
+    s = suite_superduality(max_rank=3)
     _gate("criterion 7: combinatorial super duality, |lambda| <= 3", s)
 
 
@@ -87,7 +87,7 @@ def test_criterion_09_tensor_vs_wedge():
 
 
 def test_criterion_10_classical_endpoint():
-    s = suite_kl_oracle(max_m=3)
+    s = suite_kl_oracle()
     _gate("criterion 10: Hecke-KL oracle endpoint and typical weights", s)
 
 

@@ -398,7 +398,7 @@ def test_wedge_bar_table_shares_its_values():
 
 def nested_bracket(win, terms, i, j, up):
     """R(i,j) (up) or S(i,j) applied to terms by the q^-1-commutator recursion."""
-    return _nested(lambda t, a: _act_raw(win, t, "E", a, project=True), i, j, terms, up)
+    return _nested(lambda t, a: _act_raw(win, t, "E", a), i, j, terms, up)
 
 
 def chain_brackets(bits, terms, c, up, k):

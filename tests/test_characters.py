@@ -129,5 +129,5 @@ def test_q1_values_match_columns():
     ch = irreducible_character(b, lam, k=k)
     col = bkl(b, weight_to_f(b, lam), DUAL, k=k, check_stability=False)
     for g, c in col.entries.items():
-        if c.ev(1):
-            assert ch.mult(f_to_weight(b, g)) == c.ev(1)
+        if c.ev():
+            assert ch.mult(f_to_weight(b, g)) == c.ev()

@@ -252,6 +252,25 @@ def test_nonpositive_window_is_a_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--window", "0")
         assert code == 2 and out == "", (argv, err)
         assert "window level 0 is not positive" in err, err
+    for flag in ("--max-rank", "--max-window"):
+        code, out, err = run(capsys, "verify", "--suite", "triangularity", flag, "0")
+        assert code == 2 and out == "", (flag, err)
+        assert f"{flag} 0 is not positive" in err, err
+    # adjacency needs rank 2: a run at rank 1 has no check to pass
+    code, out, err = run(capsys, "verify", "--suite", "adjacency", "--max-rank", "1")
+    assert code == 1 and out == "", err
+    assert err.strip() == "no check ran for suite adjacency at --max-rank 1 --max-window 3"
+
+
+def test_unusable_cache_dir_is_a_one_line_failure(capsys, tmp_path, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, out, err = run(capsys, "bkl", "--seq", "01", "--f", "1,1", "--cache-dir", str(afile))
+    assert code == 1 and out == ""
+    assert err.startswith("internal failure: NotADirectoryError: ") and err.count("\n") == 1
+    monkeypatch.setenv("BKLKIT_CACHE", str(afile))
+    code, out, err = run(capsys, "bkl", "--seq", "01", "--f", "1,1")
+    assert code == 1 and err.startswith("internal failure: NotADirectoryError: ")
 
 
 def test_bad_flag_exits_2(capsys):

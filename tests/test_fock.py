@@ -8,7 +8,6 @@ from bklkit.combinat import SignedSeq, wt_signature
 from bklkit.fock import (
     FockVector,
     Window,
-    WindowOverflowError,
     _weight_classes,
     apply_gen,
     h0_apply,
@@ -98,9 +97,14 @@ def test_divided_power_integrality():
 
 def test_window_overflow():
     w = Window(SignedSeq.parse("0"), 2)
-    with pytest.raises(WindowOverflowError):
-        apply_gen(mono(w, (2,)), "F", 2)
-    assert not apply_gen(mono(w, (2,)), "F", 2, project=True)
+    assert not apply_gen(mono(w, (2,)), "F", 2)
+
+
+def test_wedge_window_has_no_generator_action():
+    wwin = Window(SignedSeq.parse("0"), 2, ("V", 2))
+    for kind in ("E", "F", "K", "Kinv"):
+        with pytest.raises(ValueError, match="tensor window"):
+            apply_gen(mono(wwin, (0, 1, 0)), kind, 0)
 
 
 def test_hecke_action_cases():
@@ -137,8 +141,8 @@ def test_hecke_chevalley_commute():
         v = mono(w, f)
         for a in (-1, 0):
             for i in (1, 2):
-                x = hecke_act(apply_gen(v, "E", a, project=True), i)
-                y = apply_gen(hecke_act(v, i), "E", a, project=True)
+                x = hecke_act(apply_gen(v, "E", a), i)
+                y = apply_gen(hecke_act(v, i), "E", a)
                 assert x == y
 
 
@@ -231,41 +235,6 @@ def test_wedge_gather_matches_h0_reference():
             for x in vecs:
                 want = wedge_project(h0_apply(x, len(bits), kw), wwin).terms
                 assert wedge_gather(x.terms, len(bits), side, kw) == want, (wwin, x)
-
-
-def test_wedge_action_formulas_match_embedding():
-    # straightening-free action == embed, act, project (small windows)
-    rng = random.Random(4)
-    for side in ("V", "W"):
-        for kw in (2, 3):
-            wwin = Window(SignedSeq.parse("0"), 2, (side, kw))
-            for idx in list(wwin.basis())[::3]:
-                direct_v = mono(wwin, idx)
-                emb = wedge_embed(wwin, idx)
-                for kind, a in (("E", 0), ("F", 0), ("E", -1), ("K", 1)):
-                    lhs = apply_gen(direct_v, kind, a, project=True)
-                    rhs = wedge_project(
-                        apply_gen(emb, kind, a, project=True), wwin
-                    )
-                    assert lhs.terms == rhs.terms, (side, kw, idx, kind, a)
-
-
-def test_wedge_action_example():
-    # E_a picks out tail entries equal to a+1 on the V side
-    wwin = Window(SignedSeq.parse(""), 3, ("V", 2))
-    out = apply_gen(mono(wwin, (2, 0)), "E", 1)
-    assert out.terms == {(1, 0): ONE}
-    # move creating a repeat vanishes
-    out = apply_gen(mono(wwin, (2, 1)), "E", 1)
-    assert not out
-
-
-def test_fockvector_json():
-    w = Window(SignedSeq.parse("0101"), 4, ("V", 2))
-    v = mono(w, (2, 2, 0, 0) + (3, 1))
-    data = v.to_json()
-    assert data["window"] == {"b": "0101", "k": 4, "wedge": "V:2"}
-    assert data["terms"] == [{"f": "2,2,0,0", "u": "3,1", "poly": {"0": 1}}]
 
 
 def test_window_basis_and_classes():

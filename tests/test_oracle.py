@@ -126,7 +126,7 @@ def test_brute_uniqueness_mixed_rank3():
 
 def test_brute_uniqueness_rejects_large():
     with pytest.raises(ValueError):
-        brute_bar_uniqueness(Window(SignedSeq.parse("0101"), 4), max_dim=100)
+        brute_bar_uniqueness(Window(SignedSeq.parse("0101"), 4))
 
 
 @pytest.mark.parametrize(
@@ -157,8 +157,8 @@ def test_brute_uniqueness_rejects_an_underdetermined_system(monkeypatch):
     # the constraints no longer pin it down
     real = oracle._act_raw
 
-    def e0_only(window, terms, kind, a, project):
-        return real(window, terms, kind, a, project) if (kind, a) == ("E", 0) else {}
+    def e0_only(window, terms, kind, a):
+        return real(window, terms, kind, a) if (kind, a) == ("E", 0) else {}
 
     monkeypatch.setattr(oracle, "_act_raw", e0_only)
     with pytest.raises(AssertionError, match="rank 4 of 10 unknowns"):

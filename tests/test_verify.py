@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+from bklkit.canonical import CANONICAL, BklEngine
 from bklkit.cli import main
-from bklkit.verify import run_suite
+from bklkit.verify import run_suite, suite_triangularity
 
 # sha256 of the stdout of `bklkit verify --suite all` (max rank 2, window 3):
 # every check's PASS line, name and detail, in run order
@@ -30,3 +31,21 @@ def test_all_suite_desk_scale_under_budget(capsys):
 def test_results_carry_details():
     s = run_suite("rank2", max_rank=2, max_window=6)
     assert all(r.detail for r in s.results)
+
+
+def test_triangularity_reports_an_entry_above_f(monkeypatch):
+    # copy an entry t_{g,f} (g < f) of the 00 window into the column of g at
+    # f: its degree class is right, only the descent check can catch it
+    real = BklEngine.table
+
+    def table(self, kind):
+        out = {f: dict(col) for f, col in real(self, kind).items()}
+        if kind == CANONICAL and self.window.b.bits == (0, 0):
+            f, g = next((f, g) for f, col in out.items() for g in col if g != f)
+            out[g][f] = out[f][g]
+        return out
+
+    monkeypatch.setattr(BklEngine, "table", table)
+    failed = [r for r in suite_triangularity(2, 2).results if not r.ok]
+    assert [r.name for r in failed] == ["triangularity b=00 k=2"]
+    assert "is not below f" in failed[0].detail
