@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .combinat import SharpPack, SignedSeq, format_weight
 from .fock import Window, _act_raw, wedge_gather
-from .scalars import Laurent, ONE, Z_QMQINV, addmul
+from .scalars import Laurent, ONE, Z_QMQINV, addmul, pack, unpack
 
 
 _MINUS_QINV = Laurent({-1: -1})
@@ -225,25 +225,6 @@ def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
     return ext_ctx.share(wedge_gather(ext_ctx.row(rev), mn, side, kw))
 
 
-def _unpack(x: int, base: int, shift: int) -> Laurent:
-    """The Laurent polynomial s with x = s(2^base) 2^(base shift).
-
-    Reads balanced digits in [-2^(base-1), 2^(base-1)), lowest first.
-    """
-    c = {}
-    half, mask = 1 << (base - 1), (1 << base) - 1
-    e = -shift
-    while x:
-        d = x & mask
-        if d >= half:
-            d -= 1 << base
-        if d:
-            c[e] = d
-        x = (x - d) >> base
-        e += 1
-    return Laurent(_raw=c)
-
-
 @dataclass
 class BarTable:
     """Rows bar(M_f) = sum_g r_{gf} M_g for f in a chosen part of a window."""
@@ -281,8 +262,8 @@ class BarTable:
         in-window pairs stay in the window).
 
         The sums run in integers by Kronecker substitution: each distinct
-        value v (by id) packs once as P(v) = v(2^B) 2^(B E), E the largest
-        |exponent| in the table, and bar(v) likewise, so a term
+        value v (by id) packs once as P(v) = v(2^B) 2^(B E) (scalars.pack),
+        E the largest |exponent| in the table, and bar(v) likewise, so a term
         r_{gh} bar(r_{hf}) is the product of two ints, and a sum s packs as
         s(2^B) 2^(2 B E), a polynomial in 2^B with exponents in [0, 4E].
         Every coefficient of every partial sum, and of a sum minus delta, is
@@ -291,7 +272,7 @@ class BarTable:
         below 2^(B-1).  A polynomial with coefficients in (-2^(B-1),
         2^(B-1)) is 0 at 2^B only if it is 0 (its top nonzero term
         outweighs all lower ones), so each packed test below is exact, and
-        a defect decodes back by balanced base-2^B digits.
+        a defect decodes back by balanced base-2^B digits (scalars.unpack).
         """
         rows = self.rows
         values = {id(c): c for row in rows.values() for c in row.values()}
@@ -302,10 +283,8 @@ class BarTable:
             default=0,
         )
         base = (reach * max(l1.values(), default=0) + 1).bit_length() + 1
-        packs, bars = {}, {}
-        for i, c in values.items():
-            packs[i] = sum(v << (base * (e + span)) for e, v in c.c.items())
-            bars[i] = sum(v << (base * (span - e)) for e, v in c.c.items())
+        packs = {i: pack(c, base, span) for i, c in values.items()}
+        bars = {i: pack(c.bar(), base, span) for i, c in values.items()}
         one = 1 << (2 * base * span)
         for f, row_f in rows.items():
             acc: dict = {}  # g -> its packed sum
@@ -321,10 +300,10 @@ class BarTable:
                     else:
                         acc.pop(g, None)
             if acc.get(f) != one:
-                return (f, f, _unpack(acc.get(f, 0), base, 2 * span))
+                return (f, f, unpack(acc.get(f, 0), base, 2 * span))
             for g, x in acc.items():
                 if g != f:
-                    return (g, f, _unpack(x, base, 2 * span))
+                    return (g, f, unpack(x, base, 2 * span))
         return None
 
     def to_json(self) -> dict:

@@ -7,12 +7,19 @@ q^-1 Z[q^-1].  Windowed columns coincide with the global Brundan-
 Kazhdan-Lusztig polynomials on the window, which is what this module
 returns, always together with the window it used.
 
+The solve keeps each pending sum as one int in lanes of B bits at
+exponent offset O (Kronecker substitution, scalars.pack), so a push is one
+big-int multiply-add.  It decodes a sum only when it pops it, checks the
+antisymmetry it needs as one integer identity, and restarts a column in
+wider lanes whenever a bound says the sums could outgrow them; the lanes
+stay on the engine (CONVENTIONS.md, "Integer encodings").
+
 engine(window) caches the engines of the two most recently used windows,
 enough for every pair of windows a check alternates between (k and k+1,
 a wedge window and its extension, b and its odd swap).  An engine's bar
 rows share their values and index tuples through its BarContext (see
 barinv); its columns reuse those tuples as keys (all but the diagonal
-one), but their values are not interned.
+one), and hold one object per distinct entry value and kind.
 
 Also here: parabolic N/U coordinates for an adjacent pair of sequences,
 the transports that relate the two sequences, truncation comparisons for
@@ -36,12 +43,14 @@ from .combinat import (
     natural_bij,
 )
 from .fock import Window, wedge_gather
-from .scalars import DegreeClass, ONE, ZERO, addmul
+from .scalars import DegreeClass, ONE, ZERO, addmul, pack, unpack
 
 CANONICAL = "canonical"
 DUAL = "dual"
 
 WINDOW_MARGIN = 2  # added to m+n when auto-selecting a window level
+
+_LANES = (12, 16)  # the lanes a new engine's solve starts from
 
 
 class TriangularityError(AssertionError):
@@ -88,6 +97,18 @@ class BklEngine:
         self._wedge_rows: dict = {}
         self._columns: dict = {}
         self._weights = [(i + 1) * self.bext.sign(i + 1) for i in range(len(self.bext))]
+        self._key_of: dict = {}  # index -> self.key(index)
+        # the solve's lanes (bits per coefficient, offset of the exponents),
+        # widened as columns need and kept for the engine's lifetime
+        self._lanes = _LANES
+        # id of a bar-row value -> its pack at the lanes; ids stay valid
+        # because BarContext.share pools every row value (tensor and wedge
+        # rows alike) for as long as the engine lives
+        self._packs: dict = {}
+        self._l1 = 0  # the largest L1 norm of a packed bar-row value
+        # per kind, the lanes e >= 0 of a popped pending sum s = p - bar(p)
+        # -> (pack(bar(p), B, 2O), the largest exponent of p, t, pt, st, L1(t))
+        self._decoded: dict = {CANONICAL: {}, DUAL: {}}
 
     def bar_row(self, f: tuple) -> dict:
         if self.window.wedge is None:
@@ -122,45 +143,104 @@ class BklEngine:
             return hit
         if not self.window.valid_index(f):
             raise ValueError(f"index {f} not in window {self.window}")
-        # push-style solve: once t_g is known, its bar row adds r_hg bar(t_g)
-        # to the pending sum s_h of every h below it; the heap hands out the
-        # pending indices by ascending key, so each comes after its pushers
-        out: dict = {}
-        pending: dict = {}
-        heap: list = []
-
-        def solved(g, val):
-            out[g] = val
-            vbar = val.bar()
-            for h, r in self.bar_row(g).items():
-                if h != g:
-                    if h not in pending:
-                        heappush(heap, (self.key(h), h))
-                    addmul(pending, h, r, vbar)
-
-        last = (self.key(f), f)
-        solved(f, ONE)
-        while heap:
-            item = heappop(heap)
-            g = item[1]
-            s = pending.pop(g, None)
-            if s is None:  # cancelled, or a duplicate heap entry
-                continue
-            if item < last:
-                raise TriangularityError(
-                    f"bar data at g={g} is not below f={f}: s={s!r}"
-                )
-            last = item
-            if not s.is_antisymmetric():
-                raise TriangularityError(
-                    f"inconsistent bar data at g={g}, f={f}: s={s!r}"
-                )
-            val = s.pos_part() if kind == CANONICAL else s.neg_part()
-            if val:
-                solved(g, val)
+        out = self._solve(f, kind)
+        while out is None:  # the column outgrew the lanes, which are wider now
+            out = self._solve(f, kind)
         col = BklColumn(self.window, f, kind, out)
         self._columns[memo] = col
         return col
+
+    def _solve(self, f: tuple, kind: str) -> dict | None:
+        """The entries of the column of f, or None after widening the lanes.
+
+        Push-style: once t_g is known, its bar row adds r_hg bar(t_g) to the
+        pending sum s_h of every h below it, and a heap hands out the
+        pending indices by ascending key, so each comes after its pushers.
+        Each s_h is one int, s_h(2^B) 2^(2BO) for the lanes (B, O); see
+        CONVENTIONS.md for why every test below is exact.
+        """
+        base, off = self._lanes
+        shift = 2 * base * off
+        packs, key_of, bar_row = self._packs, self._key_of, self.bar_row
+        decoded = self._decoded[kind]
+        out: dict = {}
+        pending: dict = {}
+        heap: list = []
+        load = 0  # bounds every coefficient of every pending sum
+        g, t, kg = f, ONE, key_of.get(f)
+        if kg is None:
+            kg = key_of[f] = self.key(f)
+        pt, st, l1 = 1, base * off, 1  # pack(bar(t), B, O) == pt << st; L1(t)
+        while True:
+            out[g] = t
+            for h, r in bar_row(g).items():
+                kh = key_of.get(h)
+                if kh is None:
+                    kh = key_of[h] = self.key(h)
+                if kh <= kg:
+                    if h == g:
+                        continue
+                    raise TriangularityError(
+                        f"bar data at g={h} is not below f={g}: r_gf={r!r}, column of {f}"
+                    )
+                pr = packs.get(id(r))
+                if pr is None:
+                    span = max(map(abs, r.c), default=0)
+                    if span > off:
+                        self._widen(base, span)
+                        return None
+                    self._l1 = max(self._l1, sum(map(abs, r.c.values())))
+                    pr = packs[id(r)] = pack(r, base, off)
+                x = pending.get(h)
+                if x is None:
+                    heappush(heap, (kh, h))
+                    pending[h] = pr * pt << st
+                else:
+                    pending[h] = x + (pr * pt << st)
+            load += l1 * self._l1
+            if load >> (base - 1):
+                self._widen(load.bit_length() + 1, off)
+                return None
+            x = 0
+            while not x:  # a zero sum cancelled
+                if not heap:
+                    return out
+                kg, g = heappop(heap)
+                x = pending.pop(g)
+            # s = p - bar(p), p in qZ[q]; hi packs the lanes e >= 0 of s
+            hi = (x + (1 << (shift - 1))) >> shift
+            known = decoded.get(hi)
+            if known is None:
+                p = unpack(hi, base, 0)
+                pbar = p.bar()
+                t, tbar = (p, pbar) if kind == CANONICAL else (-pbar, -p)
+                # pt packs bar(t) from its lowest exponent e, st = B (O + e):
+                # the product with a bar-row value has no zero lanes to carry
+                e = min(tbar.c, default=0)
+                known = decoded[hi] = (
+                    pack(pbar, base, 2 * off),
+                    max(p.c, default=0),
+                    t,
+                    pack(tbar, base, -e),
+                    base * (off + e),
+                    sum(map(abs, p.c.values())),
+                )
+            low, span, t, pt, st, l1 = known
+            if x != (hi << shift) - low:  # also fails on a constant term
+                raise TriangularityError(
+                    f"inconsistent bar data at g={g}, f={f}: s={unpack(x, base, 2 * off)!r}"
+                )
+            if span > off:
+                self._widen(base, span)
+                return None
+
+    def _widen(self, base: int, off: int) -> None:
+        """Lanes of at least base bits and offset off: a part that grows at
+        least doubles, so an engine restarts a few times at most."""
+        b, o = self._lanes
+        self._lanes = (max(base, 2 * b) if base > b else b, max(off, 2 * o) if off > o else o)
+        self._packs = {}
+        self._decoded = {CANONICAL: {}, DUAL: {}}
 
     def table(self, kind: str) -> dict:
         return {f: self.column(f, kind).entries for f in self.window.basis()}

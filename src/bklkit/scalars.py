@@ -1,8 +1,11 @@
 """Exact scalar arithmetic: integer Laurent polynomials in q, the sparse
-accumulate helper addmul, and the Gauss integers [r] and [r]!.
+accumulate helper addmul, the packed-integer codec pack/unpack, and the
+Gauss integers [r] and [r]!.
 
 addmul holds the only loop that adds Laurent coefficients exponent by
-exponent; Laurent + and * and every sparse sum in the package call it.
+exponent; Laurent + and * and the sparse sums over Laurent values call it.
+The two hot sums, the bar-table involution check and the triangular solve,
+instead add packed ints (pack/unpack) and decode only what they report.
 
 Everything is exact; there is no floating point anywhere in the package.
 Coefficients are Python ints, so products of structure constants can grow
@@ -159,10 +162,6 @@ class Laurent:
         """Terms with exponent >= 1."""
         return Laurent(_raw={e: v for e, v in self.c.items() if e >= 1})
 
-    def neg_part(self) -> "Laurent":
-        """Terms with exponent <= -1."""
-        return Laurent(_raw={e: v for e, v in self.c.items() if e <= -1})
-
     def is_antisymmetric(self) -> bool:
         """True iff bar(p) == -p; what a solvable Lusztig column demands."""
         return all(self.c.get(-e, 0) == -v for e, v in self.c.items())
@@ -259,6 +258,37 @@ def addmul(acc: dict, key, x: Laurent, y: Laurent | None = None) -> None:
         acc[key] = Laurent(_raw=c)
     else:
         acc.pop(key, None)
+
+
+def pack(v: Laurent, base: int, offset: int) -> int:
+    """v(2^base) 2^(base offset): the coefficient of q^e in lane e + offset.
+
+    Kronecker substitution: a product of packed values is the packed
+    product and a sum of them the packed sum, as long as every coefficient
+    stays inside the lanes (see unpack and CONVENTIONS.md).
+    """
+    return sum(c << (base * (e + offset)) for e, c in v.c.items())
+
+
+def unpack(x: int, base: int, offset: int) -> Laurent:
+    """The Laurent polynomial v with pack(v, base, offset) == x.
+
+    Reads balanced digits in [-2^(base-1), 2^(base-1)), lowest first; that
+    is the v packed only if its coefficients lie strictly inside that range
+    and no exponent is below -offset.
+    """
+    c = {}
+    half, mask = 1 << (base - 1), (1 << base) - 1
+    e = -offset
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= 1 << base
+        if d:
+            c[e] = d
+        x = (x - d) >> base
+        e += 1
+    return Laurent(_raw=c)
 
 
 def q_power(n: int) -> Laurent:

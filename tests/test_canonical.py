@@ -35,7 +35,7 @@ from bklkit.characters import odd_reflection_check
 from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, lambda_L, wt_signature
 from bklkit.fock import Window
 from bklkit.oracle import rank2_forms
-from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, q_power
+from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, q_power
 
 
 def test_two_element_chain():
@@ -201,16 +201,19 @@ def test_bar_rows_share_values_and_index_tuples():
         assert len(seen) < sum(map(len, stored)) // 10, win
 
 
-def test_inconsistent_bar_row_is_a_triangularity_error():
-    # a constant term added to one off-diagonal bar-row entry reaches the
-    # pending sum of that index, which then fails antisymmetry
+@pytest.mark.parametrize("kind", [CANONICAL, DUAL])
+@pytest.mark.parametrize("extra", [ONE, q_power(1), Laurent({2: 3, -1: 1})])
+def test_inconsistent_bar_row_is_a_triangularity_error(extra, kind):
+    # a term added to one off-diagonal bar-row entry reaches the pending
+    # sum of that index, which then fails the packed antisymmetry identity:
+    # a constant term, and terms with no constant at all
     f = (1, 1)
     eng = BklEngine(Window(SignedSeq.parse("01"), 2))
     row = eng.bar_row(f)
     g = next(h for h in row if h != f)
-    row[g] = row[g] + ONE
+    row[g] = row[g] + extra
     with pytest.raises(TriangularityError, match="inconsistent bar data"):
-        eng.column(f, CANONICAL)
+        eng.column(f, kind)
 
 
 def test_bar_row_entry_above_the_index_is_a_triangularity_error():
@@ -223,6 +226,41 @@ def test_bar_row_entry_above_the_index_is_a_triangularity_error():
     eng.bar_row(f)[above] = Laurent({1: 1, -1: -1})
     with pytest.raises(TriangularityError, match=r"g=\(2, 2\) is not below f=\(1, 1\)"):
         eng.column(f, CANONICAL)
+
+
+def test_bar_row_entry_at_an_equal_key_is_a_triangularity_error():
+    # (0, -1) is not below (-2, -2) but has the same key, and sorts after it
+    # as a tuple; the solve must refuse the entry, not solve for it
+    f, g = (-2, -2), (0, -1)
+    eng = BklEngine(Window(SignedSeq.parse("01"), 2))
+    assert eng.key(g) == eng.key(f) and g > f and not bruhat_leq(eng.bext, g, f)
+    eng.bar_row(f)[g] = Z_QMQINV
+    with pytest.raises(TriangularityError, match=r"g=\(0, -1\) is not below f=\(-2, -2\)"):
+        eng.column(f, CANONICAL)
+
+
+def test_a_column_that_outgrows_the_lanes_is_solved_in_wider_ones():
+    # the bar row of f already holds exponents past the starting offset,
+    # and the dual column's load outgrows the starting width, so the solve
+    # restarts in wider lanes; the result must still be the unique
+    # bar-invariant column with off-diagonal entries in q^-1 Z[q^-1],
+    # checked here in Laurent arithmetic, away from the packed sums
+    f = (6, 6, 6, 6)
+    eng = BklEngine(Window(SignedSeq.parse("0011"), 6))
+    start = eng._lanes
+    col = eng.column(f, DUAL).entries
+    assert all(a > b for a, b in zip(eng._lanes, start)), (start, eng._lanes)
+    assert col[f] == ONE
+    assert all(c.degree_class() is DegreeClass.IN_qinvZqinv for g, c in col.items() if g != f)
+    again: dict = {}
+    for g, c in col.items():
+        for h, r in eng.bar_row(g).items():
+            addmul(again, h, r, c.bar())
+    assert again == col
+    # the wider lanes stay on the engine: the canonical column needs no restart
+    lanes = eng._lanes
+    eng.column(f, CANONICAL)
+    assert eng._lanes == lanes
 
 
 def test_bkl_stability_check_catches_a_corrupt_bigger_column(monkeypatch):
