@@ -7,9 +7,11 @@ q^-1 Z[q^-1].  Windowed columns coincide with the global Brundan-
 Kazhdan-Lusztig polynomials on the window, which is what this module
 returns, always together with the window it used.
 
-The solve keeps each pending sum as one int in lanes of B bits at
-exponent offset O (Kronecker substitution, scalars.pack), so a push is one
-big-int multiply-add.  It decodes a sum only when it pops it, checks the
+Each bar row reaches the solve through BklEngine.bar_row, checked once:
+diagonal 1, every other entry at a larger linear key.  The solve keeps
+each pending sum as one int in lanes of B bits at exponent offset O
+(Kronecker substitution, scalars.pack), so a push is one big-int
+multiply-add.  It decodes a sum only when it pops it, checks the
 antisymmetry it needs as one integer identity, and restarts a column in
 wider lanes whenever a bound says the sums could outgrow them; the lanes
 stay on the engine (CONVENTIONS.md, "Integer encodings").
@@ -93,8 +95,8 @@ class BklEngine:
     def __init__(self, window: Window):
         self.window = window
         self.bext = window.extended().b
-        self._ctx = BarContext(window if window.wedge is None else window.extended())
-        self._wedge_rows: dict = {}
+        self._ctx = BarContext(window.extended())
+        self._rows: dict = {}  # index -> its bar row, checked
         self._columns: dict = {}
         self._weights = [(i + 1) * self.bext.sign(i + 1) for i in range(len(self.bext))]
         self._key_of: dict = {}  # index -> self.key(index)
@@ -111,12 +113,23 @@ class BklEngine:
         self._decoded: dict = {CANONICAL: {}, DUAL: {}}
 
     def bar_row(self, f: tuple) -> dict:
-        if self.window.wedge is None:
-            return self._ctx.row(f)
-        row = self._wedge_rows.get(f)
+        """bar(M_f) as {g: r_gf}, checked on first use: diagonal 1 and every other
+        entry at a larger key than f (keys kept in _key_of).  Key order only:
+        BarTable.check_unitriangular and suite_triangularity test Bruhat descent."""
+        row = self._rows.get(f)
         if row is None:
-            row = wedge_bar_row(self.window, self._ctx, f)
-            self._wedge_rows[f] = row
+            ctx, key_of = self._ctx, self._key_of
+            row = ctx.row(f) if self.window.wedge is None else wedge_bar_row(self.window, ctx, f)
+            if row.get(f) != ONE:
+                raise TriangularityError(f"bar data at the diagonal f={f} is {row.get(f)!r}, not 1")
+            kf = key_of[f] = self.key(f)
+            for h, r in row.items():
+                kh = key_of.get(h)
+                if kh is None:
+                    kh = key_of[h] = self.key(h)
+                if kh <= kf and h != f:
+                    raise TriangularityError(f"bar data at g={h} is not below f={f}: r_gf={r!r}")
+            self._rows[f] = row
         return row
 
     def key(self, g: tuple) -> int:
@@ -167,22 +180,13 @@ class BklEngine:
         pending: dict = {}
         heap: list = []
         load = 0  # bounds every coefficient of every pending sum
-        g, t, kg = f, ONE, key_of.get(f)
-        if kg is None:
-            kg = key_of[f] = self.key(f)
+        g, t = f, ONE
         pt, st, l1 = 1, base * off, 1  # pack(bar(t), B, O) == pt << st; L1(t)
         while True:
             out[g] = t
             for h, r in bar_row(g).items():
-                kh = key_of.get(h)
-                if kh is None:
-                    kh = key_of[h] = self.key(h)
-                if kh <= kg:
-                    if h == g:
-                        continue
-                    raise TriangularityError(
-                        f"bar data at g={h} is not below f={g}: r_gf={r!r}, column of {f}"
-                    )
+                if h == g:
+                    continue
                 pr = packs.get(id(r))
                 if pr is None:
                     span = max(map(abs, r.c), default=0)
@@ -193,7 +197,7 @@ class BklEngine:
                     pr = packs[id(r)] = pack(r, base, off)
                 x = pending.get(h)
                 if x is None:
-                    heappush(heap, (kh, h))
+                    heappush(heap, (key_of[h], h))
                     pending[h] = pr * pt << st
                 else:
                     pending[h] = x + (pr * pt << st)
@@ -205,7 +209,7 @@ class BklEngine:
             while not x:  # a zero sum cancelled
                 if not heap:
                     return out
-                kg, g = heappop(heap)
+                g = heappop(heap)[1]
                 x = pending.pop(g)
             # s = p - bar(p), p in qZ[q]; hi packs the lanes e >= 0 of s
             hi = (x + (1 << (shift - 1))) >> shift
@@ -548,10 +552,7 @@ def shift_column_invariant(b: SignedSeq, f: tuple, p: int, kind: str) -> bool:
     """Columns of f and f + p*(1,...,1) agree under the shift relabeling."""
     f = tuple(f)
     fs = tuple(v + p for v in f)
-    spread = max(
-        max((abs(v) for v in f), default=0), max((abs(v) for v in fs), default=0)
-    )
-    k = spread + len(b) + WINDOW_MARGIN
+    k = auto_level(b, f + fs)
     col = engine(Window(b, k)).column(f, kind).entries
     cols = engine(Window(b, k)).column(fs, kind).entries
     safe = k - abs(p)

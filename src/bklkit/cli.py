@@ -114,16 +114,15 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
                 row.append(str(poly.ev()))
             lines.append(",".join(row))
         return "\n".join(lines)
-    if fmt == "tex":
-        kindsym = "t" if payload["kind"] == CANONICAL else "\\ell"
-        fidx = payload["f"] + (";" + payload["u"] if "u" in payload else "")
-        for item in payload["column"]:
-            poly = Laurent.from_json(item["poly"])
-            gidx = item["g"] + (";" + item["u"] if "u" in item else "")
-            val = str(poly.ev()) if at_q1 else _poly_tex(poly)
-            lines.append(f"{kindsym}_{{({gidx}),({fidx})}} &= {val} \\\\")
-        return "\n".join(lines)
-    raise UsageError(f"unknown format {fmt!r}")
+    # tex: argparse's choices reject any other format
+    kindsym = "t" if payload["kind"] == CANONICAL else "\\ell"
+    fidx = payload["f"] + (";" + payload["u"] if "u" in payload else "")
+    for item in payload["column"]:
+        poly = Laurent.from_json(item["poly"])
+        gidx = item["g"] + (";" + item["u"] if "u" in item else "")
+        val = str(poly.ev()) if at_q1 else _poly_tex(poly)
+        lines.append(f"{kindsym}_{{({gidx}),({fidx})}} &= {val} \\\\")
+    return "\n".join(lines)
 
 
 def cmd_bkl(args) -> int:
@@ -215,14 +214,12 @@ def cmd_char(args) -> int:
         print("mu,mult")
         for item in payload["terms"]:
             print(f"{item['mu'].replace(',', ' ')},{item['mult']}")
-    elif args.format == "tex":
+    else:  # tex
         sym = "L" if args.kind == "irr" else "T"
         terms = " + ".join(
             f"{item['mult']}\\,[M_{{{item['mu']}}}]" for item in payload["terms"]
         )
         print(f"[{sym}_{{{payload['lambda']}}}] = {terms}")
-    else:
-        raise UsageError(f"unknown format {args.format!r}")
     return 0
 
 

@@ -35,7 +35,7 @@ from bklkit.characters import odd_reflection_check
 from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, lambda_L, wt_signature
 from bklkit.fock import Window
 from bklkit.oracle import rank2_forms
-from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, q_power
+from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, pack, q_power
 
 
 def test_two_element_chain():
@@ -192,7 +192,8 @@ def test_bar_rows_share_values_and_index_tuples():
         for f in win.basis():
             eng.column(f, DUAL)
         ctx = eng._ctx
-        stored = [*ctx._rows.values(), *eng._wedge_rows.values()]
+        # a tensor engine's rows are its context's rows: count each dict once
+        stored = [*{id(d): d for d in (*ctx._rows.values(), *eng._rows.values())}.values()]
         seen: dict = {}
         for d in stored:
             for g, c in d.items():
@@ -222,8 +223,8 @@ def test_bar_row_entry_above_the_index_is_a_triangularity_error():
     f = (1, 1)
     eng = BklEngine(Window(SignedSeq.parse("01"), 2))
     above = (2, 2)
-    assert bruhat_leq(eng.bext, f, above) and above not in eng.bar_row(f)
-    eng.bar_row(f)[above] = Laurent({1: 1, -1: -1})
+    assert bruhat_leq(eng.bext, f, above) and above not in eng._ctx.row(f)
+    eng._ctx.row(f)[above] = Laurent({1: 1, -1: -1})
     with pytest.raises(TriangularityError, match=r"g=\(2, 2\) is not below f=\(1, 1\)"):
         eng.column(f, CANONICAL)
 
@@ -234,9 +235,42 @@ def test_bar_row_entry_at_an_equal_key_is_a_triangularity_error():
     f, g = (-2, -2), (0, -1)
     eng = BklEngine(Window(SignedSeq.parse("01"), 2))
     assert eng.key(g) == eng.key(f) and g > f and not bruhat_leq(eng.bext, g, f)
-    eng.bar_row(f)[g] = Z_QMQINV
+    eng._ctx.row(f)[g] = Z_QMQINV
     with pytest.raises(TriangularityError, match=r"g=\(0, -1\) is not below f=\(-2, -2\)"):
         eng.column(f, CANONICAL)
+
+
+def test_bar_row_diagonal_other_than_one_is_a_triangularity_error():
+    f = (1, 1)
+    eng = BklEngine(Window(SignedSeq.parse("01"), 2))
+    eng._ctx.row(f)[f] = Laurent({0: 2, 3: 1})
+    with pytest.raises(TriangularityError, match=r"diagonal f=\(1, 1\) is q\^3 \+ 2, not 1"):
+        eng.column(f, CANONICAL)
+
+
+def test_a_solved_entry_past_the_offset_widens_the_lanes():
+    # a bar-row value is checked against the offset when it is first
+    # packed, and no solved entry has an exponent beyond those checked
+    # values, so only a pack that skipped that check reaches the check on
+    # a popped sum: r2 is packed ahead at the starting lanes, where q^24
+    # fits its lane but lies past the offset, and t = q^20 comes out of it
+    eng = BklEngine(Window(SignedSeq.parse("01"), 2))
+    f, h1, h2 = (0, 0), (1, 0), (2, 0)
+    r1, r2 = Laurent({4: 1, -4: -1}), Laurent({24: 1, -16: -1})
+    for g, planted in ((f, {f: ONE, h1: r1}), (h1, {h1: ONE, h2: r2}), (h2, {h2: ONE})):
+        row = eng._ctx.row(g)
+        row.clear()
+        row.update(planted)
+    base, off = eng._lanes
+    eng._packs[id(r2)] = pack(r2, base, off)
+    col = eng.column(f, CANONICAL).entries
+    assert eng._lanes[1] > off, eng._lanes
+    assert col == {f: ONE, h1: q_power(4), h2: q_power(20)}
+    again: dict = {}
+    for g, c in col.items():
+        for h, r in eng.bar_row(g).items():
+            addmul(again, h, r, c.bar())
+    assert again == col
 
 
 def test_a_column_that_outgrows_the_lanes_is_solved_in_wider_ones():

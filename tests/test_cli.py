@@ -225,6 +225,14 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
+    # a wedge head of the wrong length, and a finite wedge index with no tail
+    for argv, msg in (
+        (("--f", "1,1", "--wedge", "partition:V:2,1"), "--f needs 1 tensor entries"),
+        (("--f", "1", "--wedge", "V:2"), "--f must be '<1 tensor entries>/<2 tail entries>'"),
+    ):
+        code, out, err = run(capsys, "bkl", "--seq", "0", *argv, "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"usage error: {msg}\n"), argv
+    assert not any(tmp_path.iterdir())
 
 
 def test_failure_after_parsing_is_internal(capsys, monkeypatch):
@@ -274,6 +282,63 @@ def test_unusable_cache_dir_is_a_one_line_failure(capsys, tmp_path, monkeypatch)
 
 
 def test_bad_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bkl", "--seq", "01", "--f", "1,1", "--kind", "bogus"])
-    assert exc.value.code == 2
+    for argv in (
+        ("bkl", "--seq", "01", "--f", "1,1", "--kind", "bogus"),
+        ("bkl", "--seq", "01", "--f", "1,1", "--format", "xml"),
+        ("char", "--seq", "01", "--lambda", "1,1", "--format", "xml"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "invalid choice: " in out.err, argv
+
+
+def test_bkl_json_at_q1_adds_the_evaluated_column(capsys):
+    code, out, _ = run(
+        capsys, "bkl", "--seq", "01", "--f", "2,2", "--window", "3", "--format", "json",
+        "--at-q1", "--no-cache",
+    )
+    assert code == 0
+    assert out == (
+        '{"b": "01", "column": [{"g": "1,1", "poly": {"1": 1}}, {"g": "2,2", "poly": {"0": 1}}], '
+        '"column_q1": [{"g": "1,1", "mult": 1}, {"g": "2,2", "mult": 1}], '
+        '"f": "2,2", "kind": "canonical", "window": 3}\n'
+    )
+
+
+def test_char_csv(capsys):
+    code, out, _ = run(
+        capsys, "char", "--seq", "01", "--lambda", "1,-1", "--window", "3", "--format", "csv"
+    )
+    assert code == 0
+    assert out == "mu,mult\n-3 3,1\n-2 2,-1\n-1 1,1\n0 0,-1\n1 -1,1\n"
+
+
+def test_verify_with_a_failing_check_exits_1(capsys, monkeypatch):
+    # copy an entry of a 00 column above its index, as in test_verify
+    from bklkit.canonical import CANONICAL, BklEngine
+
+    real = BklEngine.table
+
+    def table(self, kind):
+        out = {f: dict(col) for f, col in real(self, kind).items()}
+        if kind == CANONICAL and self.window.b.bits == (0, 0):
+            f, g = next((f, g) for f, col in out.items() for g in col if g != f)
+            out[g][f] = out[f][g]
+        return out
+
+    monkeypatch.setattr(BklEngine, "table", table)
+    code, out, err = run(
+        capsys, "verify", "--suite", "triangularity", "--max-rank", "2", "--max-window", "2"
+    )
+    assert (code, err) == (1, "1 failing checks\n")
+    assert out == (
+        "PASS  triangularity b=1 k=2  [10 columns]\n"
+        "PASS  triangularity b=0 k=2  [10 columns]\n"
+        "PASS  triangularity b=11 k=2  [50 columns]\n"
+        "PASS  triangularity b=10 k=2  [50 columns]\n"
+        "PASS  triangularity b=01 k=2  [50 columns]\n"
+        "FAIL  triangularity b=00 k=2  "
+        "[AssertionError: entry at ((-1, -2), (-2, -1)) is not below f: q]\n"
+    )

@@ -4,8 +4,10 @@ import time
 
 import pytest
 
-from bklkit.canonical import CANONICAL, BklEngine
+from bklkit.barinv import BarContext
+from bklkit.canonical import CANONICAL, BklEngine, engine
 from bklkit.cli import main
+from bklkit.scalars import Laurent
 from bklkit.verify import run_suite, suite_triangularity
 
 # sha256 of the stdout of `bklkit verify --suite all` (max rank 2, window 3):
@@ -49,3 +51,24 @@ def test_triangularity_reports_an_entry_above_f(monkeypatch):
     failed = [r for r in suite_triangularity(2, 2).results if not r.ok]
     assert [r.name for r in failed] == ["triangularity b=00 k=2"]
     assert "is not below f" in failed[0].detail
+
+
+def test_triangularity_catches_a_bar_entry_the_engine_lets_through(monkeypatch):
+    # (-2, -1) has a larger key than (1, 1) but is not below it, so the
+    # engine's key test takes q - q^-1 there; the suite must fail instead
+    real = BarContext.row
+
+    def row(self, f):
+        out = real(self, f)
+        if self.bits == (0, 1) and self.k == 2 and tuple(f) == (1, 1):
+            out = {**out, (-2, -1): Laurent({1: 1, -1: -1})}
+        return out
+
+    engine.cache_clear()
+    monkeypatch.setattr(BarContext, "row", row)
+    try:
+        failed = [r for r in suite_triangularity(2, 2).results if not r.ok]
+    finally:
+        engine.cache_clear()
+    assert [r.name for r in failed] == ["triangularity b=01 k=2"]
+    assert "(-2, -1)" in failed[0].detail, failed[0].detail
