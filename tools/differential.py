@@ -17,15 +17,28 @@ check them after it:
 --check exits 1 and names the first window that differs.  With neither
 option the script prints the sha256 of the whole sorted map.  It takes
 tens of seconds, which is why no test runs it.
+
+With --cli the map covers the command line instead: each call in
+CLI_CALLS runs through cli.main in this process, keyed by its argv, and
+records "<exit code>:<sha256 of stdout>".  Every `bkl` call gets a fresh
+temporary --cache-dir (or runs with --no-cache), so no cache from the
+environment leaks in; COLD_WARM runs twice in one cache dir.  This mode
+takes about a second:
+
+    PYTHONPATH=src python tools/differential.py --cli --check tools/cli_digests.json
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
+from bklkit import cli
 from bklkit.canonical import CANONICAL, DUAL, BklTable
 from bklkit.combinat import SignedSeq
 from bklkit.fock import Window
@@ -51,13 +64,65 @@ def digests() -> dict:
     return out
 
 
+CLI_CALLS = (
+    "bkl --seq 01 --f=0,1",
+    "bkl --seq 10 --f=1,-1 --kind dual",
+    "bkl --seq 011 --f=1,0,-1 --format csv",
+    "bkl --seq 0101 --f=1,0,0,-1 --kind dual --format csv --no-cache",
+    "bkl --seq 01 --f=1,-1 --kind dual --format tex",
+    "bkl --seq 0 --f=0/2,1 --wedge V:2",
+    "bkl --seq 1 --f=0/2,1,0 --wedge V:3 --kind dual",
+    "bkl --seq 01 --f=0,1/0,2 --wedge W:2",
+    "bkl --seq 0 --f=-1 --wedge partition:V:2,1 --kind dual",
+    "bkl --seq 11110 --f=0,0,1,1,0 --window 5",
+    "bkl --seq 0011 --f=5,5,5,5 --window 6",
+    "bkl --seq 01 --f=1,-1 --kind dual --at-q1",
+    "bkl --seq 011 --f=1,0,-1 --format csv --at-q1",
+    "bkl --seq 0 --f=1,2",
+    "bkl --seq 01 --f=3,0 --window 2",
+    "char --seq 01 --lambda=0,1",
+    "char --seq 11 --lambda=-1,0 --kind tilt --format csv",
+    "char --seq 01 --lambda=0,0 --bogus",
+    "verify --suite tensor-wedge",
+    "verify --suite shift",
+    "verify --suite odd-reflection",
+)
+COLD_WARM = "bkl --seq 0110 --f=1,0,-1,0 --kind dual"
+
+
+def cli_run(argv: list) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return f"{code}:{hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def cli_digests() -> dict:
+    out = {}
+    for call in CLI_CALLS:
+        argv = call.split()
+        with tempfile.TemporaryDirectory() as tmp:
+            if argv[0] == "bkl" and "--no-cache" not in argv:
+                argv += ["--cache-dir", tmp]
+            out[call] = cli_run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = COLD_WARM.split() + ["--cache-dir", tmp]
+        out[f"{COLD_WARM} (cold)"] = cli_run(argv)
+        out[f"{COLD_WARM} (warm)"] = cli_run(argv)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--write", metavar="FILE", help="record the digests in FILE")
     mode.add_argument("--check", metavar="FILE", help="compare the digests with FILE")
+    ap.add_argument("--cli", action="store_true", help="digest CLI calls, not tables")
     args = ap.parse_args(argv)
-    got = digests()
+    got = cli_digests() if args.cli else digests()
     if args.write:
         with open(args.write, "w") as fh:
             json.dump(got, fh, indent=1, sort_keys=True)
@@ -70,7 +135,7 @@ def main(argv=None) -> int:
             if want.get(key) != got.get(key):
                 print(f"differs at {key}: {want.get(key)} != {got.get(key)}", file=sys.stderr)
                 return 1
-        print(f"{len(got)} tables match")
+        print(f"{len(got)} {'calls' if args.cli else 'tables'} match")
         return 0
     print(hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest())
     return 0
