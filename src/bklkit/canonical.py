@@ -109,7 +109,7 @@ class BklEngine:
         self._packs: dict = {}
         self._l1 = 0  # the largest L1 norm of a packed bar-row value
         # per kind, the lanes e >= 0 of a popped pending sum s = p - bar(p)
-        # -> (pack(bar(p), B, 2O), the largest exponent of p, t, pt, st, L1(t))
+        # -> (pack(bar(p), B, 2O), t, pt, st, L1(t))
         self._decoded: dict = {CANONICAL: {}, DUAL: {}}
 
     def bar_row(self, f: tuple) -> dict:
@@ -154,6 +154,8 @@ class BklEngine:
         hit = self._columns.get(memo)
         if hit is not None:
             return hit
+        if kind not in (CANONICAL, DUAL):
+            raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
         if not self.window.valid_index(f):
             raise ValueError(f"index {f} not in window {self.window}")
         out = self._solve(f, kind)
@@ -223,20 +225,16 @@ class BklEngine:
                 e = min(tbar.c, default=0)
                 known = decoded[hi] = (
                     pack(pbar, base, 2 * off),
-                    max(p.c, default=0),
                     t,
                     pack(tbar, base, -e),
                     base * (off + e),
                     sum(map(abs, p.c.values())),
                 )
-            low, span, t, pt, st, l1 = known
+            low, t, pt, st, l1 = known
             if x != (hi << shift) - low:  # also fails on a constant term
                 raise TriangularityError(
                     f"inconsistent bar data at g={g}, f={f}: s={unpack(x, base, 2 * off)!r}"
                 )
-            if span > off:
-                self._widen(base, span)
-                return None
 
     def _widen(self, base: int, off: int) -> None:
         """Lanes of at least base bits and offset off: a part that grows at
@@ -266,20 +264,16 @@ def bkl(
     f: tuple,
     kind: str,
     k: int | None = None,
-    check_stability: bool = True,
 ) -> BklColumn:
     """A BKL column over the tensor window, with auto-selected level.
 
-    check_stability recomputes one window size up and insists the shared
-    entries agree; it is cheap insurance and on by default.
+    The column is always checked for stability: it is recomputed one window
+    size up, and the shared entries must agree.
     """
     f = tuple(f)
-    if kind not in (CANONICAL, DUAL):
-        raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
     k = k if k is not None else auto_level(b, f)
     col = engine(Window(b, k)).column(f, kind)
-    if check_stability:
-        truncation_consistent_tensor(b, f, kind, k)
+    truncation_consistent_tensor(b, f, kind, k)
     return col
 
 

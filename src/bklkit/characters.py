@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import CANONICAL, DUAL, _pair_kind, auto_level, bkl, column_to_parabolic
+from .canonical import CANONICAL, DUAL, _pair_kind, auto_level, column_to_parabolic, engine
 from .combinat import (
     SignedSeq,
     f_to_weight,
@@ -20,6 +20,7 @@ from .combinat import (
     swap_slots,
     weight_to_f,
 )
+from .fock import Window
 from .scalars import Laurent, ZERO
 
 IRREDUCIBLE = "irreducible"
@@ -54,7 +55,7 @@ def _expansion(b: SignedSeq, lam: tuple, kind: str, k: int | None) -> CharacterE
     lam = tuple(lam)
     f = weight_to_f(b, lam)
     k = k if k is not None else auto_level(b, f)
-    col = bkl(b, f, DUAL if kind == IRREDUCIBLE else CANONICAL, k=k, check_stability=False)
+    col = engine(Window(b, k)).column(f, DUAL if kind == IRREDUCIBLE else CANONICAL)
     terms = {}
     for g, c in col.entries.items():
         v = c.ev()

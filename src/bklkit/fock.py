@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .combinat import SignedSeq, wt_signature
-from .scalars import Laurent, ONE, ZERO, addmul, gauss_fact
+from .scalars import Laurent, ONE, addmul
 
 
 @dataclass(frozen=True)
@@ -178,23 +178,11 @@ def _act_raw(window: Window, terms: dict, kind: str, a: int) -> dict:
     return out
 
 
-def apply_gen(v: FockVector, kind: str, a: int, r: int = 1) -> FockVector:
-    """Apply E_a^{(r)}, F_a^{(r)}, K_a or K_a^{-1}.
-
-    Divided powers are computed as r-fold products divided exactly by [r]!;
-    a failure to divide is a hard error, not a silent rational.
-    """
+def apply_gen(v: FockVector, kind: str, a: int) -> FockVector:
+    """Apply E_a, F_a, K_a or K_a^{-1} to a vector of a tensor window."""
     if kind not in ("E", "F", "K", "Kinv"):
         raise ValueError(f"unknown generator kind {kind}")
-    if r < 1 or kind in ("K", "Kinv") and r != 1:
-        raise ValueError(f"no divided power {r} of {kind}")
-    terms = v.terms
-    for _ in range(r):
-        terms = _act_raw(v.window, terms, kind, a)
-    if r > 1:
-        fact = gauss_fact(r)
-        terms = {f: c.divexact(fact) for f, c in terms.items()}
-    return FockVector(v.window, terms)
+    return FockVector(v.window, _act_raw(v.window, v.terms, kind, a))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ class DegreeClass(Enum):
     MIXED = "mixed"
 
 
-class ExactDivisionError(ArithmeticError):
-    """Raised when an exact Laurent division leaves a remainder."""
-
-
 def _norm(c: dict) -> dict:
     return {e: v for e, v in c.items() if v}
 
@@ -166,22 +162,6 @@ class Laurent:
         """True iff bar(p) == -p; what a solvable Lusztig column demands."""
         return all(self.c.get(-e, 0) == -v for e, v in self.c.items())
 
-    def divexact(self, other: "Laurent") -> "Laurent":
-        """Exact division; raises ExactDivisionError on any remainder."""
-        if not other:
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if not self:
-            return ZERO
-        # shift both to ordinary polynomials
-        slo, olo = min(self.c), min(other.c)
-        num = [self.c.get(slo + i, 0) for i in range(max(self.c) - slo + 1)]
-        den = [other.c.get(olo + i, 0) for i in range(max(other.c) - olo + 1)]
-        q, r = _polydivmod_int(num, den)
-        if q is None or any(r):
-            raise ExactDivisionError(f"{other!r} does not divide {self!r}")
-        shift = slo - olo
-        return Laurent(_raw={i + shift: v for i, v in enumerate(q) if v})
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -190,34 +170,6 @@ class Laurent:
     @classmethod
     def from_json(cls, data: dict) -> "Laurent":
         return cls({int(e): v for e, v in data.items()})
-
-
-def _polydivmod_int(num: list, den: list):
-    """Long division of integer coefficient lists (ascending order).
-
-    Returns (quotient, remainder); quotient is None as soon as a leading
-    coefficient fails to divide exactly.
-    """
-    num = list(num)
-    dn = len(den) - 1
-    while dn >= 0 and den[dn] == 0:
-        dn -= 1
-    lead = den[dn]
-    qdeg = len(num) - 1 - dn
-    if qdeg < 0:
-        return ([0], num)
-    quot = [0] * (qdeg + 1)
-    for i in range(qdeg, -1, -1):
-        c = num[i + dn]
-        if c == 0:
-            continue
-        if c % lead != 0:
-            return (None, num)
-        f = c // lead
-        quot[i] = f
-        for j in range(dn + 1):
-            num[i + j] -= f * den[j]
-    return (quot, num)
 
 
 ZERO = Laurent()

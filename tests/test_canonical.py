@@ -35,7 +35,7 @@ from bklkit.characters import odd_reflection_check
 from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, lambda_L, wt_signature
 from bklkit.fock import Window
 from bklkit.oracle import rank2_forms
-from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, pack, q_power
+from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, q_power
 
 
 def test_two_element_chain():
@@ -248,31 +248,6 @@ def test_bar_row_diagonal_other_than_one_is_a_triangularity_error():
         eng.column(f, CANONICAL)
 
 
-def test_a_solved_entry_past_the_offset_widens_the_lanes():
-    # a bar-row value is checked against the offset when it is first
-    # packed, and no solved entry has an exponent beyond those checked
-    # values, so only a pack that skipped that check reaches the check on
-    # a popped sum: r2 is packed ahead at the starting lanes, where q^24
-    # fits its lane but lies past the offset, and t = q^20 comes out of it
-    eng = BklEngine(Window(SignedSeq.parse("01"), 2))
-    f, h1, h2 = (0, 0), (1, 0), (2, 0)
-    r1, r2 = Laurent({4: 1, -4: -1}), Laurent({24: 1, -16: -1})
-    for g, planted in ((f, {f: ONE, h1: r1}), (h1, {h1: ONE, h2: r2}), (h2, {h2: ONE})):
-        row = eng._ctx.row(g)
-        row.clear()
-        row.update(planted)
-    base, off = eng._lanes
-    eng._packs[id(r2)] = pack(r2, base, off)
-    col = eng.column(f, CANONICAL).entries
-    assert eng._lanes[1] > off, eng._lanes
-    assert col == {f: ONE, h1: q_power(4), h2: q_power(20)}
-    again: dict = {}
-    for g, c in col.items():
-        for h, r in eng.bar_row(g).items():
-            addmul(again, h, r, c.bar())
-    assert again == col
-
-
 def test_a_column_that_outgrows_the_lanes_is_solved_in_wider_ones():
     # the bar row of f already holds exponents past the starting offset,
     # and the dual column's load outgrows the starting width, so the solve
@@ -320,7 +295,6 @@ def test_bkl_stability_check_catches_a_corrupt_bigger_column(monkeypatch):
         corrupt(entries)
         with pytest.raises(AssertionError, match="mismatch"):
             bkl(b, f, DUAL, k=k)
-        bkl(b, f, DUAL, k=k, check_stability=False)
 
 
 def test_columns_are_bar_invariant():
@@ -560,12 +534,19 @@ def test_bkl_table_export():
 
 
 def test_bad_kind_rejected():
-    with pytest.raises(ValueError):
-        bkl(SignedSeq.parse("01"), (0, 0), "nope")
+    b = SignedSeq.parse("01")
+    for call in (
+        lambda: bkl(b, (0, 0), "x"),
+        lambda: wedge_bkl(SignedSeq.parse("0"), "V", 1, (0, 1), "x", k=2),
+        lambda: engine(Window(b, 2)).column((0, 0), "x"),
+        lambda: BklTable.over_window(Window(b, 2), "x"),
+    ):
+        with pytest.raises(ValueError, match="kind must be 'canonical' or 'dual'"):
+            call()
 
 
 def test_column_json_shape():
-    col = bkl(SignedSeq.parse("01"), (3, 3), DUAL, k=6, check_stability=False)
+    col = engine(Window(SignedSeq.parse("01"), 6)).column((3, 3), DUAL)
     data = col.to_json()
     assert data["b"] == "01" and data["f"] == "3,3"
     assert data["kind"] == DUAL and data["window"] == 6

@@ -121,13 +121,14 @@ def test_expansion_json():
 
 
 def test_q1_values_match_columns():
-    from bklkit.canonical import DUAL, bkl
+    from bklkit.canonical import DUAL, engine
+    from bklkit.fock import Window
 
     b = SignedSeq.parse("010")
     lam = f_to_weight(b, (1, 1, 1))
     k = 4
     ch = irreducible_character(b, lam, k=k)
-    col = bkl(b, weight_to_f(b, lam), DUAL, k=k, check_stability=False)
+    col = engine(Window(b, k)).column(weight_to_f(b, lam), DUAL)
     for g, c in col.entries.items():
         if c.ev():
             assert ch.mult(f_to_weight(b, g)) == c.ev()

@@ -16,7 +16,7 @@ from bklkit.fock import (
     wedge_gather,
     wedge_project,
 )
-from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, gauss_fact, q_power
+from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, q_power
 
 
 def mono(win, f, c=ONE):
@@ -46,7 +46,8 @@ def test_coproduct_twist_on_two_fold_tensor():
 
 
 def test_commutation_relation():
-    # E_a F_b - F_b E_a = delta_ab (K_{a,a+1} - K_{a+1,a})/(q - q^-1)
+    # (E_a F_b - F_b E_a)(q - q^-1) = delta_ab (K_{a,a+1} - K_{a+1,a}); with
+    # no zero divisors in Z[q, q^-1] the product pins the commutator down
     rng = random.Random(0)
     for bits in ((0, 1), (0, 0), (1, 1, 0)):
         w = Window(SignedSeq(bits), 4)
@@ -63,11 +64,7 @@ def test_commutation_relation():
                     else:
                         kk = apply_gen(apply_gen(v, "Kinv", a + 1), "K", a)
                         kk2 = apply_gen(apply_gen(v, "Kinv", a), "K", a + 1)
-                        diff = kk - kk2
-                        expect = {
-                            g: c.divexact(Z_QMQINV) for g, c in diff.terms.items()
-                        }
-                        assert lhs.terms == expect
+                        assert lhs.scale(Z_QMQINV) == kk - kk2
 
 
 def test_serre_relation_spot():
@@ -84,15 +81,6 @@ def test_serre_relation_spot():
         lhs = E(E(E(v, b2), a), a) + E(E(E(v, a), a), b2)
         rhs = E(E(E(v, a), b2), a).scale(Laurent({1: 1, -1: 1}))
         assert lhs.terms == rhs.terms
-
-
-def test_divided_power_integrality():
-    w = Window(SignedSeq.parse("00"), 4)
-    v = mono(w, (2, 2))
-    # E^2 (v_2 (x) v_2) = (q + q^-1) M_{(1,1)}, so E^{(2)} gives exactly 1
-    assert apply_gen(v, "E", 1, r=2).terms == {(1, 1): ONE}
-    # E^2/[2]! annihilates a multiplicity-one configuration when one step dies
-    assert not apply_gen(mono(w, (2, 0)), "E", 1, r=2)
 
 
 def test_window_overflow():
@@ -250,10 +238,5 @@ def test_window_basis_and_classes():
 def test_chevalley_gen_dataclass():
     w = Window(SignedSeq.parse("0"), 3)
     assert apply_gen(mono(w, (2,)), "E", 1).terms == {(1,): ONE}
-    assert apply_gen(mono(w, (2,)), "E", 1, r=2).terms == {}
-    with pytest.raises(ValueError):
-        apply_gen(mono(w, (0,)), "K", 0, r=2)
-    with pytest.raises(ValueError):
-        apply_gen(mono(w, (0,)), "E", 0, r=0)
     with pytest.raises(ValueError):
         apply_gen(mono(w, (0,)), "X", 0)
