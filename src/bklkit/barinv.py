@@ -33,7 +33,10 @@ addmul never mutates its inputs.  The keys of the move to d end in d, so
 the chain terms never meet the shifted prefix row; each chain term value,
 +-q^e (q - q^-1)^r times a stored prefix value, is computed once per
 context; the first term at a key is stored as it is, and terms that meet
-at one key sum through addmul.
+at one key sum once per pair of stored values (BarContext._sums), so a
+row holds stored values only and share() hashes none of them.  The
+engine's solve takes each full-length tensor row out of its context
+(BarContext.take) and keeps it as a push list (see canonical).
 
 BarTable checks its rows exactly in integers: the involution identity by
 Kronecker substitution, unitriangularity through combinat.SharpPack (both
@@ -130,6 +133,7 @@ class BarContext:
         self._values: dict = {}  # Laurent -> its one stored copy
         self._pooled: set = set()  # ids of the stored copies in _values
         self._terms: dict = {}  # (id of a stored c, e, neg, r) -> stored term value
+        self._sums: dict = {}  # (id of a stored a, id of a stored b) -> stored a + b
         self._rows: dict = {(): self.share({(): ONE})}
 
     def share(self, d: dict) -> dict:
@@ -165,9 +169,11 @@ class BarContext:
         base = self.row(prefix)
         out = {g + (c,): coef for g, coef in base.items()}
         # every move d != c ends its keys in d, so the chain terms never meet
-        # the shifted prefix row; terms that meet at one key sum in addmul
+        # the shifted prefix row; terms that meet at one key sum through
+        # _sums, once per pair of stored values, so every value in out is
+        # a stored one
         bits, up, k = self.bits, self.bits[p - 1] == 0, self.k
-        terms = self._terms
+        terms, sums = self._terms, self._sums
         for g, coef in base.items():
             for h, d, e, neg, r in _chains(bits, g, c, up, k):
                 tk = (id(coef), e, neg, r)
@@ -175,9 +181,27 @@ class BarContext:
                 if s is None:
                     s = (coef * Z_QMQINV**r).shift(e)
                     s = terms[tk] = self._pool(-s if neg else s)
-                addmul(out, h + (d,), s)
+                key = h + (d,)
+                a = out.get(key)
+                if a is not None:
+                    sk = (id(a), id(s))
+                    v = sums.get(sk)
+                    if v is None:
+                        v = sums[sk] = self._pool(a + s)
+                    if not v:
+                        del out[key]
+                        continue
+                    s = v
+                out[key] = s
         out = self._rows[f] = self.share(out)
         return out
+
+    def take(self, f: tuple) -> dict:
+        """row(f), no longer stored: for a caller that keeps the row in a
+        form of its own.  Prefix rows stay."""
+        row = self.row(f)
+        del self._rows[tuple(f)]
+        return row
 
 
 def bar_row_rl(window: Window, f: tuple) -> dict:

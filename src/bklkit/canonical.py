@@ -7,21 +7,27 @@ q^-1 Z[q^-1].  Windowed columns coincide with the global Brundan-
 Kazhdan-Lusztig polynomials on the window, which is what this module
 returns, always together with the window it used.
 
-Each bar row reaches the solve through BklEngine.bar_row, checked once:
-diagonal 1, every other entry at a larger linear key.  The solve keeps
+The engine keeps each bar row in one form only, the one the solve reads:
+a flat push list [id of h, r_hg, pack(r_hg), ...], built when the solve
+first pops the row's index.  A tensor row is taken out of the BarContext
+(BarContext.take) as its list is built; the context keeps the prefix rows.
+The build checks the row, once: diagonal 1, every other entry at a larger
+linear key.  Indices get int ids, (key << bits) + serial, that order like
+keys, so the heap and the pending sums hold ints only.  The solve keeps
 each pending sum as one int in lanes of B bits at exponent offset O
 (Kronecker substitution, scalars.pack), so a push is one big-int
 multiply-add.  It decodes a sum only when it pops it, checks the
 antisymmetry it needs as one integer identity, and restarts a column in
 wider lanes whenever a bound says the sums could outgrow them; the lanes
-stay on the engine (CONVENTIONS.md, "Integer encodings").
+stay on the engine, and widening re-packs the stored push lists
+(CONVENTIONS.md, "Integer encodings").
 
 engine(window) caches the engines of the two most recently used windows,
 enough for every pair of windows a check alternates between (k and k+1,
 a wedge window and its extension, b and its odd swap).  An engine's bar
 rows share their values and index tuples through its BarContext (see
-barinv); its columns reuse those tuples as keys (all but the diagonal
-one), and hold one object per distinct entry value and kind.
+barinv); its push lists and columns reuse those tuples and values, and
+a column holds one object per distinct entry value and kind.
 
 Also here: parabolic N/U coordinates for an adjacent pair of sequences,
 the transports that relate the two sequences, truncation comparisons for
@@ -32,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import comb
 
 from .barinv import BarContext, wedge_bar_row
 from .combinat import (
@@ -90,16 +97,24 @@ class BklColumn:
 
 
 class BklEngine:
-    """Columns over one window, with bar rows and columns memoized."""
+    """Columns over one window, with push lists and columns memoized."""
 
     def __init__(self, window: Window):
         self.window = window
         self.bext = window.extended().b
         self._ctx = BarContext(window.extended())
-        self._rows: dict = {}  # index -> its bar row, checked
         self._columns: dict = {}
         self._weights = [(i + 1) * self.bext.sign(i + 1) for i in range(len(self.bext))]
-        self._key_of: dict = {}  # index -> self.key(index)
+        # the id of an index is (key << _bits) + serial, serial the number of
+        # ids given before it: _bits is the bit length of the basis size, so
+        # serial < 2^_bits and ids order like keys
+        side = 2 * window.k + 1
+        self._bits = (side**window.tensor_len * comb(side, window.wedge_len)).bit_length()
+        self._num: dict = {}  # index -> its id
+        self._idx: dict = {}  # id -> index
+        # id of g -> the push list of g, [id of h, r_hg, pack(r_hg, B, O), ...]
+        # over the bar row of g without its diagonal
+        self._pushes: dict = {}
         # the solve's lanes (bits per coefficient, offset of the exponents),
         # widened as columns need and kept for the engine's lifetime
         self._lanes = _LANES
@@ -109,28 +124,8 @@ class BklEngine:
         self._packs: dict = {}
         self._l1 = 0  # the largest L1 norm of a packed bar-row value
         # per kind, the lanes e >= 0 of a popped pending sum s = p - bar(p)
-        # -> (pack(bar(p), B, 2O), t, pt, st, L1(t))
+        # -> (the packed s that p solves, t, pt, st, L1(t))
         self._decoded: dict = {CANONICAL: {}, DUAL: {}}
-
-    def bar_row(self, f: tuple) -> dict:
-        """bar(M_f) as {g: r_gf}, checked on first use: diagonal 1 and every other
-        entry at a larger key than f (keys kept in _key_of).  Key order only:
-        BarTable.check_unitriangular and suite_triangularity test Bruhat descent."""
-        row = self._rows.get(f)
-        if row is None:
-            ctx, key_of = self._ctx, self._key_of
-            row = ctx.row(f) if self.window.wedge is None else wedge_bar_row(self.window, ctx, f)
-            if row.get(f) != ONE:
-                raise TriangularityError(f"bar data at the diagonal f={f} is {row.get(f)!r}, not 1")
-            kf = key_of[f] = self.key(f)
-            for h, r in row.items():
-                kh = key_of.get(h)
-                if kh is None:
-                    kh = key_of[h] = self.key(h)
-                if kh <= kf and h != f:
-                    raise TriangularityError(f"bar data at g={h} is not below f={f}: r_gf={r!r}")
-            self._rows[f] = row
-        return row
 
     def key(self, g: tuple) -> int:
         """The linear order key sum_i (i+1) s_i g_i, s_i = (-1)^{b_i} (0-based i).
@@ -142,6 +137,15 @@ class BklEngine:
         after everything above it.
         """
         return sum(w * v for w, v in zip(self._weights, g))
+
+    def _id(self, g: tuple) -> int:
+        """The id of g, given the first time the engine sees g; ids order like keys."""
+        n = self._num.get(g)
+        if n is None:
+            g = self._ctx._keys.setdefault(g, g)  # the context's one copy of g
+            n = self._num[g] = (self.key(g) << self._bits) + len(self._num)
+            self._idx[n] = g
+        return n
 
     def candidates(self, f: tuple) -> list:
         """{g <= f} sorted by key, from a window scan; the solve never calls it."""
@@ -165,41 +169,85 @@ class BklEngine:
         self._columns[memo] = col
         return col
 
+    def _push_list(self, n: int) -> list:
+        """The push list of the index f with id n, built from its bar row.
+
+        The row is checked here, once: diagonal 1 and every other entry at
+        a larger key than f.  Key order only: BarTable.check_unitriangular
+        and suite_triangularity test Bruhat descent.  A tensor row is taken
+        out of the context, so the engine keeps it in this form only.
+        """
+        f, ctx = self._idx[n], self._ctx
+        row = ctx.take(f) if self.window.wedge is None else wedge_bar_row(self.window, ctx, f)
+        if row.get(f) != ONE:
+            raise TriangularityError(f"bar data at the diagonal f={f} is {row.get(f)!r}, not 1")
+        num, number, pack_at = self._num, self._id, self._pack
+        top = ((n >> self._bits) + 1) << self._bits  # every id below has a key <= key(f)
+        lanes = self._lanes
+        push: list = []
+        for h, r in row.items():
+            m = num.get(h)
+            if m is None:
+                m = number(h)
+            if m < top:
+                if h == f:
+                    continue
+                raise TriangularityError(f"bar data at g={h} is not below f={f}: r_gf={r!r}")
+            push += (m, r, pack_at(r))
+        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
+            self._repack(push)
+        self._pushes[n] = push
+        return push
+
+    def _pack(self, r) -> int:
+        """pack(r, B, O) at the engine's lanes, once per value; an r with an
+        exponent beyond O widens the lanes first."""
+        pr = self._packs.get(id(r))
+        if pr is None:
+            base, off = self._lanes
+            span = max(map(abs, r.c), default=0)
+            if span > off:
+                self._widen(base, span)
+                base, off = self._lanes
+            self._l1 = max(self._l1, sum(map(abs, r.c.values())))
+            pr = self._packs[id(r)] = pack(r, base, off)
+        return pr
+
+    def _repack(self, push: list) -> None:
+        push[2::3] = map(self._pack, push[1::3])
+
     def _solve(self, f: tuple, kind: str) -> dict | None:
         """The entries of the column of f, or None after widening the lanes.
 
-        Push-style: once t_g is known, its bar row adds r_hg bar(t_g) to the
-        pending sum s_h of every h below it, and a heap hands out the
-        pending indices by ascending key, so each comes after its pushers.
+        Push-style: once t_g is known, its push list adds r_hg bar(t_g) to
+        the pending sum s_h of every h below it, and a heap hands out the
+        pending ids by ascending key, so each comes after its pushers.
         Each s_h is one int, s_h(2^B) 2^(2BO) for the lanes (B, O); see
         CONVENTIONS.md for why every test below is exact.
         """
         base, off = self._lanes
         shift = 2 * base * off
-        packs, key_of, bar_row = self._packs, self._key_of, self.bar_row
+        pushes, idx = self._pushes, self._idx
         decoded = self._decoded[kind]
         out: dict = {}
-        pending: dict = {}
+        pending: dict = {}  # id -> its packed pending sum
         heap: list = []
         load = 0  # bounds every coefficient of every pending sum
-        g, t = f, ONE
+        n = self._id(f)
+        g, t = idx[n], ONE
         pt, st, l1 = 1, base * off, 1  # pack(bar(t), B, O) == pt << st; L1(t)
         while True:
             out[g] = t
-            for h, r in bar_row(g).items():
-                if h == g:
-                    continue
-                pr = packs.get(id(r))
-                if pr is None:
-                    span = max(map(abs, r.c), default=0)
-                    if span > off:
-                        self._widen(base, span)
-                        return None
-                    self._l1 = max(self._l1, sum(map(abs, r.c.values())))
-                    pr = packs[id(r)] = pack(r, base, off)
+            push = pushes.get(n)
+            if push is None:
+                push = self._push_list(n)
+                if self._lanes != (base, off):
+                    return None
+            it = iter(push)
+            for h, _, pr in zip(it, it, it):
                 x = pending.get(h)
                 if x is None:
-                    heappush(heap, (key_of[h], h))
+                    heappush(heap, h)
                     pending[h] = pr * pt << st
                 else:
                     pending[h] = x + (pr * pt << st)
@@ -211,8 +259,9 @@ class BklEngine:
             while not x:  # a zero sum cancelled
                 if not heap:
                     return out
-                g = heappop(heap)[1]
-                x = pending.pop(g)
+                n = heappop(heap)
+                x = pending.pop(n)
+            g = idx[n]
             # s = p - bar(p), p in qZ[q]; hi packs the lanes e >= 0 of s
             hi = (x + (1 << (shift - 1))) >> shift
             known = decoded.get(hi)
@@ -224,25 +273,28 @@ class BklEngine:
                 # the product with a bar-row value has no zero lanes to carry
                 e = min(tbar.c, default=0)
                 known = decoded[hi] = (
-                    pack(pbar, base, 2 * off),
+                    (hi << shift) - pack(pbar, base, 2 * off),
                     t,
                     pack(tbar, base, -e),
                     base * (off + e),
                     sum(map(abs, p.c.values())),
                 )
-            low, t, pt, st, l1 = known
-            if x != (hi << shift) - low:  # also fails on a constant term
+            target, t, pt, st, l1 = known
+            if x != target:  # also fails on a constant term
                 raise TriangularityError(
                     f"inconsistent bar data at g={g}, f={f}: s={unpack(x, base, 2 * off)!r}"
                 )
 
     def _widen(self, base: int, off: int) -> None:
         """Lanes of at least base bits and offset off: a part that grows at
-        least doubles, so an engine restarts a few times at most."""
+        least doubles, so an engine restarts a few times at most.  The
+        stored push lists are re-packed in place."""
         b, o = self._lanes
         self._lanes = (max(base, 2 * b) if base > b else b, max(off, 2 * o) if off > o else o)
         self._packs = {}
         self._decoded = {CANONICAL: {}, DUAL: {}}
+        for push in self._pushes.values():
+            self._repack(push)
 
     def table(self, kind: str) -> dict:
         return {f: self.column(f, kind).entries for f in self.window.basis()}

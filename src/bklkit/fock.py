@@ -42,10 +42,6 @@ class Window:
     def wedge_len(self) -> int:
         return self.wedge[1] if self.wedge else 0
 
-    @property
-    def total_len(self) -> int:
-        return self.tensor_len + self.wedge_len
-
     def extended(self) -> "Window":
         """The pure tensor window the wedge part embeds into."""
         if self.wedge is None:
@@ -54,13 +50,15 @@ class Window:
         return Window(self.b.extend(0 if side == "V" else 1, kw), self.k)
 
     def valid_index(self, f: tuple) -> bool:
-        if len(f) != self.total_len:
+        wedge, k = self.wedge, self.k
+        mn = len(self.b.bits)
+        if len(f) != (mn + wedge[1] if wedge else mn):
             return False
-        if any(abs(v) > self.k for v in f):
+        if f and (max(f) > k or min(f) < -k):
             return False
-        if self.wedge:
-            side, kw = self.wedge
-            tail = f[self.tensor_len :]
+        if wedge:
+            side, kw = wedge
+            tail = f[mn:]
             if side == "V":
                 return all(tail[i] > tail[i + 1] for i in range(kw - 1))
             return all(tail[i] < tail[i + 1] for i in range(kw - 1))

@@ -35,7 +35,7 @@ from bklkit.characters import odd_reflection_check
 from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, lambda_L, wt_signature
 from bklkit.fock import Window
 from bklkit.oracle import rank2_forms
-from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, q_power
+from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, pack, q_power
 
 
 def test_two_element_chain():
@@ -192,14 +192,43 @@ def test_bar_rows_share_values_and_index_tuples():
         for f in win.basis():
             eng.column(f, DUAL)
         ctx = eng._ctx
-        # a tensor engine's rows are its context's rows: count each dict once
-        stored = [*{id(d): d for d in (*ctx._rows.values(), *eng._rows.values())}.values()]
+        # the context's rows and the engine's push lists hold one object per
+        # distinct value, and every index they name is the context's tuple
+        values = [c for d in ctx._rows.values() for c in d.values()]
+        values += [c for push in eng._pushes.values() for c in push[1::3]]
         seen: dict = {}
-        for d in stored:
-            for g, c in d.items():
-                assert ctx._keys[g] is g
-                assert seen.setdefault(c, c) is c, (win, g, c)
-        assert len(seen) < sum(map(len, stored)) // 10, win
+        for c in values:
+            assert seen.setdefault(c, c) is c, (win, c)
+        assert len(seen) < len(values) // 10, win
+        for g in (*eng._idx.values(), *(g for d in ctx._rows.values() for g in d)):
+            assert ctx._keys[g] is g
+
+
+def test_index_ids_are_unique_and_order_like_keys():
+    for win in (Window(SignedSeq.parse("0101"), 2), Window(SignedSeq.parse("01"), 2, ("V", 2))):
+        eng = BklEngine(win)
+        for f in win.basis():
+            eng.column(f, CANONICAL)
+        num, idx = eng._num, eng._idx
+        assert set(num) == set(win.basis())
+        assert {n: g for g, n in num.items()} == idx  # so the ids are unique too
+        ids = sorted(idx)
+        assert all(eng.key(idx[a]) <= eng.key(idx[b]) for a, b in zip(ids, ids[1:])), win
+
+
+def test_a_tensor_engine_takes_its_rows_out_of_the_context():
+    # the engine keeps a full-length bar row as its push list only; the
+    # context keeps the prefix rows it builds rows from
+    win = Window(SignedSeq.parse("011"), 2)
+    eng, f = BklEngine(win), (1, 0, -1)
+    col = eng.column(f, CANONICAL)
+    rows = eng._ctx._rows
+    assert f not in rows and not any(len(g) == 3 for g in rows)
+    assert (1, 0) in rows
+    assert {eng._num[g] for g in col.entries} <= set(eng._pushes)
+    # the other kind solves from the push lists alone
+    assert eng.column(f, DUAL).entries == BklEngine(win).column(f, DUAL).entries
+    assert not any(len(g) == 3 for g in rows)
 
 
 def test_inconsistent_bar_row_is_a_triangularity_error():
@@ -210,7 +239,7 @@ def test_inconsistent_bar_row_is_a_triangularity_error():
     for extra in (ONE, q_power(1), Laurent({2: 3, -1: 1})):
         for kind in (CANONICAL, DUAL):
             eng = BklEngine(Window(SignedSeq.parse("01"), 2))
-            row = eng.bar_row(f)
+            row = eng._ctx.row(f)
             g = next(h for h in row if h != f)
             row[g] = row[g] + extra
             with pytest.raises(TriangularityError, match="inconsistent bar data"):
@@ -263,9 +292,13 @@ def test_a_column_that_outgrows_the_lanes_is_solved_in_wider_ones():
     assert all(c.degree_class() is DegreeClass.IN_qinvZqinv for g, c in col.items() if g != f)
     again: dict = {}
     for g, c in col.items():
-        for h, r in eng.bar_row(g).items():
+        for h, r in eng._ctx.row(g).items():
             addmul(again, h, r, c.bar())
     assert again == col
+    # every push list was re-packed at the lanes it is read in
+    base, off = eng._lanes
+    for push in eng._pushes.values():
+        assert push[2::3] == [pack(r, base, off) for r in push[1::3]]
     # the wider lanes stay on the engine: the canonical column needs no restart
     lanes = eng._lanes
     eng.column(f, CANONICAL)

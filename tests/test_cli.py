@@ -236,14 +236,14 @@ def test_usage_errors(capsys, tmp_path):
 
 
 def test_failure_after_parsing_is_internal(capsys, monkeypatch):
-    from bklkit import canonical
+    from bklkit import barinv, canonical
 
     def broken(self, f):
         raise ValueError(f"no bar row for {f}")
 
     # fresh engines, so no memoized column hides the patched method
     monkeypatch.setattr(canonical, "engine", canonical.BklEngine)
-    monkeypatch.setattr(canonical.BklEngine, "bar_row", broken)
+    monkeypatch.setattr(barinv.BarContext, "row", broken)
     code, out, err = run(
         capsys, "bkl", "--seq", "01", "--f", "2,1", "--window", "4", "--no-cache"
     )
