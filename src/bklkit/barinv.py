@@ -32,11 +32,14 @@ polynomials.  The sharing is safe because a Laurent is immutable and
 addmul never mutates its inputs.  The keys of the move to d end in d, so
 the chain terms never meet the shifted prefix row; each chain term value,
 +-q^e (q - q^-1)^r times a stored prefix value, is computed once per
-context; the first term at a key is stored as it is, and terms that meet
-at one key sum once per pair of stored values (BarContext._sums), so a
-row holds stored values only and share() hashes none of them.  The
-engine's solve takes each full-length tensor row out of its context
-(BarContext.take) and keeps it as a push list (see canonical).
+context, and so is each power (q - q^-1)^r; the first term at a key is
+stored as it is, and terms that meet at one key sum once per pair of
+stored values (BarContext._sums), so a row holds stored values only and
+share() hashes none of them.  The engine's solve takes each full-length
+tensor row out of its context (BarContext.take) and keeps it as a push
+list (see canonical).  A wedge row takes the extended row it is gathered
+from, so the context never keeps a full-length extended row beside the
+wedge row.
 
 BarTable checks its rows exactly in integers: the involution identity by
 Kronecker substitution, unitriangularity through combinat.SharpPack (both
@@ -47,8 +50,6 @@ blocks and the rank-2 closed forms, and are guarded by the involution,
 equivariance and uniqueness test suites.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .combinat import SharpPack, SignedSeq, format_weight
 from .fock import Window, _act_raw, wedge_gather
@@ -134,6 +135,7 @@ class BarContext:
         self._pooled: set = set()  # ids of the stored copies in _values
         self._terms: dict = {}  # (id of a stored c, e, neg, r) -> stored term value
         self._sums: dict = {}  # (id of a stored a, id of a stored b) -> stored a + b
+        self._zpows = [ONE, Z_QMQINV]  # (q - q^-1)^r at r, grown on demand
         self._rows: dict = {(): self.share({(): ONE})}
 
     def share(self, d: dict) -> dict:
@@ -173,13 +175,15 @@ class BarContext:
         # _sums, once per pair of stored values, so every value in out is
         # a stored one
         bits, up, k = self.bits, self.bits[p - 1] == 0, self.k
-        terms, sums = self._terms, self._sums
+        terms, sums, zpows = self._terms, self._sums, self._zpows
         for g, coef in base.items():
             for h, d, e, neg, r in _chains(bits, g, c, up, k):
                 tk = (id(coef), e, neg, r)
                 s = terms.get(tk)
                 if s is None:
-                    s = (coef * Z_QMQINV**r).shift(e)
+                    while len(zpows) <= r:
+                        zpows.append(zpows[-1] * Z_QMQINV)
+                    s = (coef * zpows[r]).shift(e)
                     s = terms[tk] = self._pool(-s if neg else s)
                 key = h + (d,)
                 a = out.get(key)
@@ -241,20 +245,25 @@ def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
 
     Computed through the embedding W_h -> M_{h.w0} H_0: bar the embedded
     monomial, push the bar-invariant H_0 across, and gather the result in
-    wedge coordinates, shared through ext_ctx like a tensor row.
+    wedge coordinates, shared through ext_ctx like a tensor row.  The
+    extended row is taken out of ext_ctx: each wedge index has its own
+    reversed index, so a caller that reads each wedge row once never
+    builds an extended row twice.
     """
     side, kw = wwin.wedge
     mn = wwin.tensor_len
     rev = idx[:mn] + tuple(reversed(idx[mn:]))
-    return ext_ctx.share(wedge_gather(ext_ctx.row(rev), mn, side, kw))
+    return ext_ctx.share(wedge_gather(ext_ctx.take(rev), mn, side, kw))
 
 
-@dataclass
 class BarTable:
     """Rows bar(M_f) = sum_g r_{gf} M_g for f in a chosen part of a window."""
 
-    window: Window
-    rows: dict  # f -> {g: Laurent}
+    __slots__ = ("window", "rows")
+
+    def __init__(self, window: Window, rows: dict):
+        self.window = window
+        self.rows = rows  # f -> {g: Laurent}
 
     def check_unitriangular(self):
         """Each row has diagonal 1 and every other entry at a lower index.

@@ -9,8 +9,9 @@ returns, always together with the window it used.
 
 The engine keeps each bar row in one form only, the one the solve reads:
 a flat push list [id of h, r_hg, pack(r_hg), ...], built when the solve
-first pops the row's index.  A tensor row is taken out of the BarContext
-(BarContext.take) as its list is built; the context keeps the prefix rows.
+first pops the row's index.  A full-length tensor row, and the extended
+row a wedge row is gathered from, is taken out of the BarContext
+(BarContext.take) as the list is built; the context keeps the prefix rows.
 The build checks the row, once: diagonal 1, every other entry at a larger
 linear key.  Indices get int ids, (key << bits) + serial, that order like
 keys, so the heap and the pending sums hold ints only.  The solve keeps
@@ -35,7 +36,6 @@ q-wedge tails, and the tail-conjugating super-duality transport.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import comb
@@ -66,12 +66,14 @@ class TriangularityError(AssertionError):
     """A solved coefficient violated its required degree class."""
 
 
-@dataclass
 class BklColumn:
-    window: Window
-    f: tuple
-    kind: str
-    entries: dict  # g -> Laurent, diagonal included
+    __slots__ = ("window", "f", "kind", "entries")
+
+    def __init__(self, window: Window, f: tuple, kind: str, entries: dict):
+        self.window = window
+        self.f = f
+        self.kind = kind
+        self.entries = entries  # g -> Laurent, diagonal included
 
     def to_json(self) -> dict:
         mn = self.window.tensor_len
@@ -174,8 +176,9 @@ class BklEngine:
 
         The row is checked here, once: diagonal 1 and every other entry at
         a larger key than f.  Key order only: BarTable.check_unitriangular
-        and suite_triangularity test Bruhat descent.  A tensor row is taken
-        out of the context, so the engine keeps it in this form only.
+        and suite_triangularity test Bruhat descent.  A tensor row, or the
+        extended row of a wedge row, is taken out of the context, so the
+        engine keeps the row in this form only.
         """
         f, ctx = self._idx[n], self._ctx
         row = ctx.take(f) if self.window.wedge is None else wedge_bar_row(self.window, ctx, f)
@@ -617,11 +620,13 @@ def shift_column_invariant(b: SignedSeq, f: tuple, p: int, kind: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BklTable:
-    window: Window
-    kind: str
-    entries: dict  # (g, f) -> Laurent, diagonal implicit 1
+    __slots__ = ("window", "kind", "entries")
+
+    def __init__(self, window: Window, kind: str, entries: dict):
+        self.window = window
+        self.kind = kind
+        self.entries = entries  # (g, f) -> Laurent, diagonal implicit 1
 
     @classmethod
     def over_window(cls, window: Window, kind: str) -> "BklTable":

@@ -8,8 +8,6 @@ every expansion carries the window it was computed in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import CANONICAL, DUAL, _pair_kind, auto_level, column_to_parabolic, engine
 from .combinat import (
     SignedSeq,
@@ -27,13 +25,15 @@ IRREDUCIBLE = "irreducible"
 TILTING = "tilting"
 
 
-@dataclass
 class CharacterExpansion:
-    b: SignedSeq
-    kind: str
-    lam: tuple
-    window: int
-    terms: dict  # mu (weight tuple in b coordinates) -> int multiplicity
+    __slots__ = ("b", "kind", "lam", "window", "terms")
+
+    def __init__(self, b: SignedSeq, kind: str, lam: tuple, window: int, terms: dict):
+        self.b = b
+        self.kind = kind
+        self.lam = lam
+        self.window = window
+        self.terms = terms  # mu (weight tuple in b coordinates) -> int multiplicity
 
     def mult(self, mu: tuple) -> int:
         return self.terms.get(tuple(mu), 0)

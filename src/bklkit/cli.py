@@ -21,7 +21,6 @@ from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
 from .combinat import SignedSeq, WedgeIndex, check_partition, parse_weight, weight_to_f
 from .scalars import Laurent
-from .verify import SUITES, run_suite
 
 
 class UsageError(Exception):
@@ -224,6 +223,9 @@ def cmd_char(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, so that bkl and char load neither verify nor oracle
+    from .verify import SUITES, run_suite
+
     if args.suite not in (*SUITES, "all"):
         raise UsageError(f"unknown suite {args.suite!r}; try {', '.join(SUITES)} or all")
     for flag, v in (("--max-rank", args.max_rank), ("--max-window", args.max_window)):

@@ -10,21 +10,61 @@ weight functions are plain int tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 Weight = tuple  # tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SignedSeq:
+class Frozen:
+    """An immutable record whose fields are the names in its __slots__.
+
+    == holds only against the same class with equal fields, the hash is
+    the hash of the field tuple, the repr reads Name(field=value, ...), and
+    assigning or deleting a field raises AttributeError.  The methods are
+    written out rather than generated, so that starting the CLI imports no
+    code generator (and through it inspect).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), self._fields()
+
+
+class SignedSeq(Frozen):
     """A 0^m1^n-sequence: m zeros (V slots) and n ones (W slots)."""
 
-    bits: tuple
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits: tuple):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        super().__init__(bits)
 
     @classmethod
     def parse(cls, text: str) -> "SignedSeq":
@@ -361,18 +401,16 @@ def w_tail(parts: tuple, kw: int) -> tuple:
     return tuple((i + 1) - (parts[i] if i < len(parts) else 0) for i in range(kw))
 
 
-@dataclass(frozen=True)
-class WedgeIndex:
+class WedgeIndex(Frozen):
     """Head in Z^{m+n} plus a semi-infinite tail encoded by a partition."""
 
-    head: tuple
-    side: str  # "V" or "W"
-    parts: tuple
+    __slots__ = ("head", "side", "parts")  # side is "V" or "W"
 
-    def __post_init__(self):
-        if self.side not in ("V", "W"):
+    def __init__(self, head: tuple, side: str, parts: tuple):
+        if side not in ("V", "W"):
             raise ValueError("side must be V or W")
-        check_partition(self.parts)
+        check_partition(parts)
+        super().__init__(head, side, parts)
 
     def tail(self, kw: int) -> tuple:
         if kw < len(self.parts):

@@ -13,26 +13,23 @@ drop every term moved outside the window (the window projection).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .combinat import SignedSeq, wt_signature
+from .combinat import Frozen, SignedSeq, wt_signature
 from .scalars import Laurent, ONE, addmul
 
 
-@dataclass(frozen=True)
-class Window:
-    b: SignedSeq
-    k: int
-    wedge: tuple | None = None  # ("V", kw) or ("W", kw)
+class Window(Frozen):
+    __slots__ = ("b", "k", "wedge")  # wedge is None, ("V", kw) or ("W", kw)
 
-    def __post_init__(self):
-        if self.k <= 0:
+    def __init__(self, b: SignedSeq, k: int, wedge: tuple | None = None):
+        if k <= 0:
             raise ValueError("window level k must be positive")
-        if self.wedge is not None:
-            side, kw = self.wedge
+        if wedge is not None:
+            side, kw = wedge
             if side not in ("V", "W") or kw < 0:
-                raise ValueError(f"bad wedge spec {self.wedge}")
+                raise ValueError(f"bad wedge spec {wedge}")
+        super().__init__(b, k, wedge)
 
     @property
     def tensor_len(self) -> int:
@@ -89,10 +86,12 @@ def _weight_classes(window: Window) -> dict:
     return out
 
 
-@dataclass
 class FockVector:
-    window: Window
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("window", "terms")
+
+    def __init__(self, window: Window, terms: dict):
+        self.window = window
+        self.terms = terms
 
     @classmethod
     def monomial(cls, window: Window, f: tuple, coeff: Laurent = ONE) -> "FockVector":

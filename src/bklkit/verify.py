@@ -8,7 +8,6 @@ counterexample in its detail string.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
 
 from .barinv import BarContext, bar_table, bar_row_rl, equivariance_defect
@@ -42,16 +41,20 @@ from .oracle import brute_bar_uniqueness, rank2_forms, schur_jimbo_match
 from .scalars import DegreeClass, ONE, addmul
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class Suite:
-    results: list = field(default_factory=list)
+    __slots__ = ("results",)
+
+    def __init__(self):
+        self.results = []
 
     def run(self, name: str, fn):
         try:

@@ -7,7 +7,7 @@ null).  Installing the tracer here makes such a rename fail this suite.
 import sys
 from pathlib import Path
 
-import bklkit.cli  # noqa: F401  (imports every bklkit module)
+import bklkit.cli  # noqa: F401  (imports every module that a hook targets)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -231,6 +231,25 @@ def test_a_tensor_engine_takes_its_rows_out_of_the_context():
     assert not any(len(g) == 3 for g in rows)
 
 
+def test_a_wedge_engine_takes_its_extended_rows_out_of_the_context():
+    # a wedge row is gathered from the full-length row of its reversed index
+    # in the extended window; the engine keeps the gathered row only
+    win = Window(SignedSeq.parse("01"), 3, ("V", 2))
+    eng = BklEngine(win)
+    table = {}
+    for f in win.basis():
+        for g, c in eng.column(f, DUAL).entries.items():
+            if g != f:
+                table[(g, f)] = c
+    assert len(eng._pushes) == sum(1 for _ in win.basis())
+    assert not any(len(g) == 4 for g in eng._ctx._rows)
+    # the same table as before: its digest in tools/differential_digests.json
+    text = json.dumps(BklTable(win, DUAL, table).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "031bcf6de7e4c6044bd1b6a28bc62e964b9265c35eb8d80b245c16f9b384d76b"
+    )
+
+
 def test_inconsistent_bar_row_is_a_triangularity_error():
     # a term added to one off-diagonal bar-row entry reaches the pending
     # sum of that index, which then fails the packed antisymmetry identity:

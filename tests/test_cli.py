@@ -1,8 +1,13 @@
 """Command-line surface: flags, formats, cache, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bklkit
 from bklkit.cli import main
 
 
@@ -209,6 +214,45 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "rank2", "--max-window", "4")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+
+def fresh(*args):
+    """Run python with args in a new interpreter that imports this bklkit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bklkit.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_loads_only_what_bkl_and_char_run():
+    # a new interpreter, since this one has imported verify already; only
+    # the modules that the import itself adds count
+    code = (
+        "import json, sys; before = set(sys.modules); import bklkit.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "bklkit.cli" in loaded and "bklkit.canonical" in loaded
+    for name in ("bklkit.verify", "bklkit.oracle", "dataclasses", "inspect"):
+        assert name not in loaded, name
+
+
+def test_verify_imports_its_suites_when_it_runs():
+    proc = fresh("-m", "bklkit.cli", "verify", "--suite", "rank2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "PASS  rank2 closed forms VW  [169 columns, window 6]\n"
+        "PASS  rank2 closed forms WV  [169 columns, window 6]\n"
+    )
+    proc = fresh("-m", "bklkit.cli", "verify", "--suite", "nosuch")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "usage error: unknown suite 'nosuch'; try rank2, involution, bar-properties, "
+        "triangularity, positivity, adjacency, superduality, truncation, tensor-wedge, "
+        "shift, kl-oracle, odd-reflection, parabolic or all\n"
+    )
 
 
 def test_usage_errors(capsys, tmp_path):

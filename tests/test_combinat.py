@@ -335,3 +335,34 @@ def test_signed_seq_utilities():
     assert b.swap(1) == SignedSeq.parse("1001")
     assert str(SignedSeq.parse("")) == ""
     assert len(list(SignedSeq.all_sequences(2, 1))) == 3
+
+
+def test_frozen_records_compare_hash_and_print_by_their_fields():
+    # SignedSeq, WedgeIndex and Window keep the semantics of frozen records:
+    # the repr is read in error messages and in the verify report
+    import copy
+
+    from bklkit.fock import Window
+
+    b = SignedSeq.parse("01")
+    w = Window(b, 2)
+    x = WedgeIndex((1,), "V", (2, 1))
+    assert repr(b) == "SignedSeq(bits=(0, 1))"
+    assert repr(w) == "Window(b=SignedSeq(bits=(0, 1)), k=2, wedge=None)"
+    assert repr(Window(b, 3, ("V", 2))) == (
+        "Window(b=SignedSeq(bits=(0, 1)), k=3, wedge=('V', 2))"
+    )
+    assert repr(x) == "WedgeIndex(head=(1,), side='V', parts=(2, 1))"
+    assert w == Window(SignedSeq((0, 1)), 2, None) and w != Window(b, 3)
+    assert w != (b, 2, None) and b != (0, 1) and x != ((1,), "V", (2, 1))
+    assert hash(b) == hash(((0, 1),))
+    assert hash(w) == hash((b, 2, None))
+    assert hash(x) == hash(((1,), "V", (2, 1)))
+    assert copy.copy(w) == w and copy.deepcopy(x) == x
+    for rec, name in ((b, "bits"), (w, "k"), (w, "wedge"), (x, "side")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        w.extra = 1  # no field of that name either
