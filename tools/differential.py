@@ -80,6 +80,9 @@ CLI_CALLS = (
     "bkl --seq 011 --f=1,0,-1 --format csv --at-q1",
     "bkl --seq 0 --f=1,2",
     "bkl --seq 01 --f=3,0 --window 2",
+    "bkl --seq 0101 --f=2,1,1,2 --window 2 --kind dual",
+    "bkl --seq 0110 --f=1,1,1,1 --kind dual",
+    "bkl --seq 0101 --f=1,1,1,1 --format csv",
     "char --seq 01 --lambda=0,1",
     "char --seq 11 --lambda=-1,0 --kind tilt --format csv",
     "char --seq 01 --lambda=0,0 --bogus",
