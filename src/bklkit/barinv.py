@@ -202,9 +202,12 @@ class BarContext:
 
     def take(self, f: tuple) -> dict:
         """row(f), no longer stored: for a caller that keeps the row in a
-        form of its own.  Prefix rows stay."""
+        form of its own.  Prefix rows stay, and so does the root row ()
+        that every row is built from."""
+        f = tuple(f)
         row = self.row(f)
-        del self._rows[tuple(f)]
+        if f:
+            del self._rows[f]
         return row
 
 

@@ -24,11 +24,17 @@ stay on the engine, and widening re-packs the stored push lists
 (CONVENTIONS.md, "Integer encodings").
 
 engine(window) caches the engines of the two most recently used windows,
-enough for every pair of windows a check alternates between (k and k+1,
-a wedge window and its extension, b and its odd swap).  An engine's bar
-rows share their values and index tuples through its BarContext (see
-barinv); its push lists and columns reuse those tuples and values, and
-a column holds one object per distinct entry value and kind.
+enough for every pair of windows a check alternates between (k and k+1
+in the truncation suite, a wedge window and its extension, b and its odd
+swap).  bkl asks the cache for the level k+1 engine only.  It solves the
+column there first, then the k column in that engine's below(): an
+engine the k+1 engine owns, which builds no bar row.  Its push lists are
+the k+1 engine's lists filtered to the k-box, because a bar row at level
+k is the k-box restriction of the same row at level k+1 (the canonical
+bases are stable under truncation).  An engine's bar rows share their
+values and index tuples through its BarContext (see barinv); its push
+lists and columns reuse those tuples and values, and a column holds one
+object per distinct entry value and kind.
 
 Also here: parabolic N/U coordinates for an adjacent pair of sequences,
 the transports that relate the two sequences, truncation comparisons for
@@ -105,7 +111,6 @@ class BklEngine:
         self.window = window
         self.bext = window.extended().b
         self._ctx = BarContext(window.extended())
-        self._columns: dict = {}
         self._weights = [(i + 1) * self.bext.sign(i + 1) for i in range(len(self.bext))]
         # the id of an index is (key << _bits) + serial, serial the number of
         # ids given before it: _bits is the bit length of the basis size, so
@@ -114,12 +119,16 @@ class BklEngine:
         self._bits = (side**window.tensor_len * comb(side, window.wedge_len)).bit_length()
         self._num: dict = {}  # index -> its id
         self._idx: dict = {}  # id -> index
+        self._start(_LANES)
+
+    def _start(self, lanes: tuple) -> None:
+        self._columns: dict = {}
         # id of g -> the push list of g, [id of h, r_hg, pack(r_hg, B, O), ...]
         # over the bar row of g without its diagonal
         self._pushes: dict = {}
         # the solve's lanes (bits per coefficient, offset of the exponents),
         # widened as columns need and kept for the engine's lifetime
-        self._lanes = _LANES
+        self._lanes = lanes
         # id of a bar-row value -> its pack at the lanes; ids stay valid
         # because BarContext.share pools every row value (tensor and wedge
         # rows alike) for as long as the engine lives
@@ -128,6 +137,7 @@ class BklEngine:
         # per kind, the lanes e >= 0 of a popped pending sum s = p - bar(p)
         # -> (the packed s that p solves, t, pt, st, L1(t))
         self._decoded: dict = {CANONICAL: {}, DUAL: {}}
+        self._below = None  # the engine of the box one level down, once built
 
     def key(self, g: tuple) -> int:
         """The linear order key sum_i (i+1) s_i g_i, s_i = (-1)^{b_i} (0-based i).
@@ -160,16 +170,27 @@ class BklEngine:
         hit = self._columns.get(memo)
         if hit is not None:
             return hit
-        if kind not in (CANONICAL, DUAL):
-            raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
-        if not self.window.valid_index(f):
-            raise ValueError(f"index {f} not in window {self.window}")
+        self._check(f, kind)
         out = self._solve(f, kind)
         while out is None:  # the column outgrew the lanes, which are wider now
             out = self._solve(f, kind)
         col = BklColumn(self.window, f, kind, out)
         self._columns[memo] = col
         return col
+
+    def _check(self, f: tuple, kind: str) -> None:
+        if kind not in (CANONICAL, DUAL):
+            raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
+        if not self.window.valid_index(f):
+            raise ValueError(f"index {f} not in window {self.window}")
+
+    def below(self) -> "BklEngine":
+        """The engine of the box one level down, solving over this engine's
+        push lists (a bar row at level k is the k-box restriction of the
+        same row at level k + 1).  Built once; this engine owns it."""
+        if self._below is None:
+            self._below = _BoxEngine(self)
+        return self._below
 
     def _push_list(self, n: int) -> list:
         """The push list of the index f with id n, built from its bar row.
@@ -303,6 +324,50 @@ class BklEngine:
         return {f: self.column(f, kind).entries for f in self.window.basis()}
 
 
+class _BoxEngine(BklEngine):
+    """Columns over the box one level below an engine's tensor window.
+
+    It shares the bigger engine's context and index ids, and builds each
+    push list by filtering the bigger engine's list of the same id to the
+    box: box membership is decided once per id.  That list was checked
+    when the bigger engine built it, and a subset of it keeps the key
+    order.  The engine packs in lanes of its own, starting from the
+    bigger engine's.
+    """
+
+    def __init__(self, big: BklEngine):
+        w = big.window
+        if w.wedge is not None:
+            raise ValueError("a box engine works below a tensor window")
+        self.window = Window(w.b, w.k - 1)
+        self.bext, self._big = big.bext, big
+        self._ctx, self._weights, self._bits = big._ctx, big._weights, big._bits
+        self._num, self._idx = big._num, big._idx
+        self._inbox: dict = {}  # id -> whether its index lies in the box
+        self._start(big._lanes)
+
+    def _push_list(self, n: int) -> list:
+        big = self._big
+        whole = big._pushes.get(n)
+        if whole is None:
+            whole = big._push_list(n)
+        inbox, idx, k = self._inbox, self._idx, self.window.k
+        lanes = self._lanes
+        pack_at = self._pack
+        push: list = []
+        it = iter(whole)
+        for h, r, _ in zip(it, it, it):
+            ok = inbox.get(h)
+            if ok is None:
+                ok = inbox[h] = _in_box(idx[h], k)
+            if ok:
+                push += (h, r, pack_at(r))
+        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
+            self._repack(push)
+        self._pushes[n] = push
+        return push
+
+
 @lru_cache(maxsize=2)
 def engine(window: Window) -> BklEngine:
     """The engine of a window; the two most recently used ones stay cached."""
@@ -322,13 +387,20 @@ def bkl(
 ) -> BklColumn:
     """A BKL column over the tensor window, with auto-selected level.
 
-    The column is always checked for stability: it is recomputed one window
-    size up, and the shared entries must agree.
+    The column is always checked for stability: it is solved one window
+    size up first, then at level k over the rows of level k + 1 restricted
+    to the k-box, and the entries in the k-box must agree.  The check
+    compares two solves over one row set; the truncation suite of verify
+    (truncation_consistent_tensor) compares two separately built ones.
     """
     f = tuple(f)
     k = k if k is not None else auto_level(b, f)
-    col = engine(Window(b, k)).column(f, kind)
-    truncation_consistent_tensor(b, f, kind, k)
+    big = engine(Window(b, k + 1))
+    small = big.below()
+    small._check(f, kind)
+    whole = big.column(f, kind)
+    col = small.column(f, kind)
+    _agree(col.entries, whole.entries, lambda g: _in_box(g, k), f"tensor truncation of f={f}")
     return col
 
 
@@ -571,7 +643,11 @@ def superduality_order_preserved(b: SignedSeq, x: WedgeIndex, y: WedgeIndex) -> 
 def truncation_consistent_tensor(
     b: SignedSeq, f: tuple, kind: str, k: int
 ) -> bool:
-    """Level-(k+1) column restricted to the k-box equals the k-column."""
+    """Level-(k+1) column restricted to the k-box equals the k-column.
+
+    The two columns come from the cached engines of both windows, each
+    over bar rows of its own; bkl's check solves both over one row set.
+    """
     small = engine(Window(b, k)).column(tuple(f), kind).entries
     big = engine(Window(b, k + 1)).column(tuple(f), kind).entries
     _agree(small, big, lambda g: _in_box(g, k), f"tensor truncation of f={f}")

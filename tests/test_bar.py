@@ -116,15 +116,29 @@ def test_involution_identity_geometric_series():
 
 
 def test_stability_in_k():
-    # pi_k of the bigger table equals the smaller table on shared rows
-    for bits in ((0, 1), (0, 1, 0)):
-        small = BarContext(Window(SignedSeq(bits), 2))
-        big = BarContext(Window(SignedSeq(bits), 4))
-        for f in Window(SignedSeq(bits), 2).basis():
+    # pi_k of the bigger table equals the smaller table on shared rows: a
+    # bar row at level k is the k-box restriction of the same row at a
+    # higher level, which bkl's stability check solves over.  k against
+    # k + 1 for every sequence with m+n <= 3 at k <= 3, and k = 2 against
+    # k = 4 on two sequences
+    cases = [
+        (bits, k, k + 1)
+        for size in range(1, 4)
+        for bits in product((0, 1), repeat=size)
+        for k in range(1, 4)
+    ]
+    cases += [((0, 1), 2, 4), ((0, 1, 0), 2, 4)]
+    n = 0
+    for bits, k, big_k in cases:
+        small = BarContext(Window(SignedSeq(bits), k))
+        big = BarContext(Window(SignedSeq(bits), big_k))
+        for f in Window(SignedSeq(bits), k).basis():
             brow = {
-                g: c for g, c in big.row(f).items() if max(abs(v) for v in g) <= 2
+                g: c for g, c in big.row(f).items() if max(abs(v) for v in g) <= k
             }
-            assert brow == small.row(f), f
+            assert brow == small.row(f), (bits, k, big_k, f)
+            n += 1
+    assert n == 4322 + 25 + 125
 
 
 def test_tensor_order_independence():

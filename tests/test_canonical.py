@@ -9,6 +9,7 @@ import pytest
 
 from bklkit.barinv import BarContext
 from bklkit.canonical import (
+    _LANES,
     CANONICAL,
     DUAL,
     BklColumn,
@@ -178,12 +179,17 @@ def test_bkl_stability_check_reuses_the_k_engine():
     engine.cache_clear()
     b, f = SignedSeq.parse("01"), (1, 1)
     k = auto_level(b, f)
-    eng = engine(Window(b, k))
     col = bkl(b, f, DUAL)
-    assert col is eng.column(f, DUAL)
-    # one miss for the k engine above, one for the k+1 window of the check
-    assert engine.cache_info().misses == 2
-    assert engine(Window(b, k)) is eng
+    # one miss, for the k+1 window: the k column is solved by the engine
+    # that the k+1 engine owns, over the k+1 engine's push lists
+    assert engine.cache_info().misses == 1
+    big = engine(Window(b, k + 1))
+    assert col.window == Window(b, k)
+    assert col is big.below().column(f, DUAL)
+    assert bkl(b, f, DUAL) is col
+    assert engine.cache_info().misses == 1
+    # the same column as an engine that builds its own k-level rows
+    assert col.entries == engine(Window(b, k)).column(f, DUAL).entries
 
 
 def test_bar_rows_share_values_and_index_tuples():
@@ -229,6 +235,91 @@ def test_a_tensor_engine_takes_its_rows_out_of_the_context():
     # the other kind solves from the push lists alone
     assert eng.column(f, DUAL).entries == BklEngine(win).column(f, DUAL).entries
     assert not any(len(g) == 3 for g in rows)
+
+
+def test_taking_the_row_of_an_empty_index_keeps_the_root_row():
+    # on a window with no slots the one full-length row is the root row ()
+    # that every row is built from: the engine takes it, the context keeps it
+    eng = BklEngine(Window(SignedSeq(()), 2))
+    assert eng.column((), CANONICAL).entries == {(): ONE}
+    assert eng._ctx.row(()) == {(): ONE}
+    assert eng._ctx.take(()) == {(): ONE}
+    assert eng._ctx.row(()) == {(): ONE}
+
+
+def test_box_engine_columns_match_engines_that_build_their_own_rows():
+    # every canonical and dual column of every tensor window with m+n <= 3
+    # at k <= 2, solved over the k+1 engine's push lists restricted to the
+    # k-box, against an engine of the k window
+    wins, n = list(candidate_windows(3, 2, 0, 0, 0)), 0
+    for win in wins:
+        big = BklEngine(Window(win.b, win.k + 1))
+        small, own = big.below(), BklEngine(win)
+        assert small.window == win and small._ctx is big._ctx
+        for f in win.basis():
+            for kind in (CANONICAL, DUAL):
+                assert small.column(f, kind).entries == own.column(f, kind).entries, (win, f)
+                n += 1
+        # each box push list is the k+1 list of its id, filtered to the box
+        for m, push in small._pushes.items():
+            whole = big._pushes[m]
+            kept = [i for i in range(0, len(whole), 3) if small._inbox[whole[i]]]
+            assert push == [x for i in kept for x in whole[i : i + 3]]
+            assert all(max(map(abs, small._idx[h])) <= win.k for h in push[::3])
+    assert len(wins) == 28 and n == 2 * sum(sum(1 for _ in w.basis()) for w in wins)
+
+
+def test_a_box_engine_packs_in_its_own_lanes():
+    # the box column is solved first, so it builds the rows of the bigger
+    # engine as it pops them; both widen, each in its own lanes
+    f = (6, 6, 6, 6)
+    big = BklEngine(Window(SignedSeq.parse("0011"), 7))
+    small = big.below()
+    col = small.column(f, DUAL).entries
+    assert col == BklEngine(Window(SignedSeq.parse("0011"), 6)).column(f, DUAL).entries
+    assert small._lanes != _LANES
+    base, off = small._lanes
+    for push in small._pushes.values():
+        assert push[2::3] == [pack(r, base, off) for r in push[1::3]]
+    assert bkl(SignedSeq.parse("0011"), f, DUAL, k=6).entries == col
+
+
+def test_bkl_rejects_an_index_outside_the_k_box_before_solving():
+    engine.cache_clear()
+    b = SignedSeq.parse("01")
+    with pytest.raises(ValueError, match=r"index \(3, 0\) not in window"):
+        bkl(b, (3, 0), DUAL, k=2)
+    assert engine(Window(b, 3))._columns == {}
+
+
+def test_a_box_engine_is_for_tensor_windows_above_level_1():
+    with pytest.raises(ValueError, match="below a tensor window"):
+        BklEngine(Window(SignedSeq.parse("0"), 2, ("V", 1))).below()
+    with pytest.raises(ValueError, match="must be positive"):
+        BklEngine(Window(SignedSeq.parse("01"), 1)).below()
+
+
+def test_truncation_check_compares_two_separately_built_row_sets(monkeypatch):
+    # bkl solves its k column over the k+1 engine's rows; the truncation
+    # suite of verify still compares two engines that build their own rows
+    engine.cache_clear()
+    b, f, k = SignedSeq.parse("010"), (1, 0, 1), 2
+    col = bkl(b, f, DUAL, k=k)
+    seen = []
+    column = BklEngine.column
+
+    def spy(self, g, kind):
+        seen.append(self)
+        return column(self, g, kind)
+
+    monkeypatch.setattr(BklEngine, "column", spy)
+    assert truncation_consistent_tensor(b, f, DUAL, k)
+    small, big = seen
+    assert type(small) is BklEngine and type(big) is BklEngine
+    assert (small.window.k, big.window.k) == (k, k + 1)
+    assert small._ctx is not big._ctx and small is not big.below()
+    assert small._pushes and small._num is not big._num
+    assert small.column(f, DUAL).entries == col.entries
 
 
 def test_a_wedge_engine_takes_its_extended_rows_out_of_the_context():
