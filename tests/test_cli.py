@@ -1,4 +1,5 @@
 """Command-line surface: flags, formats, cache, exit codes."""
+import hashlib
 import json
 import os
 import subprocess
@@ -386,3 +387,23 @@ def test_verify_with_a_failing_check_exits_1(capsys, monkeypatch):
         "FAIL  triangularity b=00 k=2  "
         "[AssertionError: entry at ((-1, -2), (-2, -1)) is not below f: q]\n"
     )
+
+
+# sha256 of the help text under COLUMNS=80, recorded on Python 3.11.7
+HELP_SHA256 = {
+    "-h": "d1aa4e7231f8416de93c671935725826c9d5fec9223f1bbca0ddcc860bd2c63b",
+    "bkl -h": "19cd83ee45cce4ee3431c02fa3999ac7165f0801949384eb09fae87593a44f84",
+    "char -h": "ca0336445086806dc3d482a95c608c5120c6b76e11b4b5f3e0d84db1621a64ef",
+    "verify -h": "4461dbbaebc6e3ba6f69a4818a1635b4825f5861b4ffd84140b661dac6c35e76",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help per version")
+def test_help_text_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for call, want in HELP_SHA256.items():
+        with pytest.raises(SystemExit) as exc:
+            main(call.split())
+        out = capsys.readouterr()
+        assert (exc.value.code, out.err) == (0, ""), call
+        assert hashlib.sha256(out.out.encode()).hexdigest() == want, (call, out.out)

@@ -83,6 +83,8 @@ CLI_CALLS = (
     "bkl --seq 0101 --f=2,1,1,2 --window 2 --kind dual",
     "bkl --seq 0110 --f=1,1,1,1 --kind dual",
     "bkl --seq 0101 --f=1,1,1,1 --format csv",
+    "bkl --se 01 --f=0,1",
+    "bkl --seq 01 --f=1,1 --window -1",
     "char --seq 01 --lambda=0,1",
     "char --seq 11 --lambda=-1,0 --kind tilt --format csv",
     "char --seq 01 --lambda=0,0 --bogus",
