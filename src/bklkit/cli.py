@@ -6,15 +6,24 @@ runs the exact-identity suites.  Columns are cached content-addressed
 under a two-level hash directory; a cache hit is returned byte-identically
 and never recomputed unless --no-cache.
 
+Every flag is declared once, in COMMANDS, and two parsers read it.  A
+plain call (a subcommand, then its long flags spelled out in full, each at
+most once, every value valid for its flag and every required flag given)
+is read by `_fast_args`, which builds no argparse parser; argparse is not
+even imported.  Any other input (help, abbreviated flags, '--', a value
+starting with '-' after a space, a repeated flag, an unknown flag or value,
+a missing flag) goes to argparse: it returns the namespace, prints help,
+or prints its own usage message and exits 2.
+
 Exit codes: 0 success, 2 usage error (raised while the input is parsed), 1
 any later failure, with its diagnostic (a verify run with no check is one).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from . import cache as cachemod
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
@@ -41,9 +50,12 @@ def _parse_wedge(text: str):
     parts = text.split(":")
     if parts[0] in ("V", "W") and len(parts) == 2:
         try:
-            return ("finite", parts[0], int(parts[1]))
-        except ValueError as exc:
-            raise UsageError(f"bad wedge size in {text!r}") from exc
+            kw = int(parts[1])
+            if kw >= 0:
+                return ("finite", parts[0], kw)
+        except ValueError:
+            pass
+        raise UsageError(f"bad wedge size in {text!r}")
     if parts[0] == "partition" and len(parts) in (2, 3):
         side = parts[1] if len(parts) == 3 else "V"
         lam = tuple(int(v) for v in parts[-1].split(",")) if parts[-1] else ()
@@ -113,7 +125,7 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
                 row.append(str(poly.ev()))
             lines.append(",".join(row))
         return "\n".join(lines)
-    # tex: argparse's choices reject any other format
+    # tex: the --format choices reject any other format
     kindsym = "t" if payload["kind"] == CANONICAL else "\\ell"
     fidx = payload["f"] + (";" + payload["u"] if "u" in payload else "")
     for item in payload["column"]:
@@ -246,50 +258,112 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+FORMATS = ("json", "csv", "tex")
+
+# The one declaration of the command line: per subcommand its help line,
+# its handler and its flags, each (name, type, choices, default, required,
+# help); a bool flag is store-true.  Both parsers read it.
+COMMANDS = {
+    "bkl": ("print one canonical/dual-canonical column", cmd_bkl, (
+        ("--seq", str, None, None, True, "0^m1^n sequence, e.g. 01"),
+        ("--f", str, None, None, True, "index, e.g. 3,3 (tail after '/')"),
+        ("--kind", str, ("canonical", "dual"), "canonical", False, None),
+        ("--window", int, None, None, False, "window level k"),
+        ("--wedge", str, None, None, False, "V:k, W:k or partition:V:2,1"),
+        ("--format", str, FORMATS, "json", False, None),
+        ("--cache-dir", str, None, None, False, None),
+        ("--no-cache", bool, None, False, False, None),
+        ("--at-q1", bool, None, False, False, "also evaluate at q=1"),
+    )),
+    "char": ("character of an irreducible or tilting module", cmd_char, (
+        ("--seq", str, None, None, True, None),
+        ("--lambda", str, None, None, True, "highest weight, e.g. 0,0"),
+        ("--kind", str, ("irr", "tilt"), "irr", False, None),
+        ("--window", int, None, None, False, None),
+        ("--format", str, FORMATS, "json", False, None),
+    )),
+    "verify": ("run exact-identity suites", cmd_verify, (
+        ("--suite", str, None, "all", False,
+         "rank2, involution, positivity, adjacency, superduality, "
+         "truncation, shift, kl-oracle, or all (plus: bar-properties, "
+         "triangularity, tensor-wedge, odd-reflection, parabolic)"),
+        ("--max-rank", int, None, 2, False, None),
+        ("--max-window", int, None, 3, False, None),
+    )),
+}
+
+
+def build_parser():
+    # imported here: a well-formed call never builds a parser (_fast_args)
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="bklkit",
         description="Canonical bases and BKL polynomials in mixed Fock spaces.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bkl", help="print one canonical/dual-canonical column")
-    p.add_argument("--seq", required=True, help="0^m1^n sequence, e.g. 01")
-    p.add_argument("--f", required=True, help="index, e.g. 3,3 (tail after '/')")
-    p.add_argument("--kind", choices=["canonical", "dual"], default="canonical")
-    p.add_argument("--window", type=int, default=None, help="window level k")
-    p.add_argument("--wedge", default=None, help="V:k, W:k or partition:V:2,1")
-    p.add_argument("--format", choices=["json", "csv", "tex"], default="json")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--at-q1", action="store_true", help="also evaluate at q=1")
-    p.set_defaults(fn=cmd_bkl)
-
-    p = sub.add_parser("char", help="character of an irreducible or tilting module")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--lambda", required=True, help="highest weight, e.g. 0,0")
-    p.add_argument("--kind", choices=["irr", "tilt"], default="irr")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv", "tex"], default="json")
-    p.set_defaults(fn=cmd_char)
-
-    p = sub.add_parser("verify", help="run exact-identity suites")
-    p.add_argument(
-        "--suite",
-        default="all",
-        help="rank2, involution, positivity, adjacency, superduality, "
-        "truncation, shift, kl-oracle, or all (plus: bar-properties, "
-        "triangularity, tensor-wedge, odd-reflection, parabolic)",
-    )
-    p.add_argument("--max-rank", type=int, default=2)
-    p.add_argument("--max-window", type=int, default=3)
-    p.set_defaults(fn=cmd_verify)
+    for command, (summary, fn, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, type_, choices, default, required, text in flags:
+            if type_ is bool:
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, type=type_, choices=choices, default=default,
+                               required=required, help=text)
+        p.set_defaults(fn=fn)
     return ap
 
 
+def _fast_args(argv: list):
+    """The namespace argparse would return for argv, if argv is plain; else None.
+
+    Plain means: a subcommand, then exactly spelled long flags of it, each
+    at most once, as --name=value, as --name value with a value that does
+    not start with '-', or as a bare store-true flag; every value in its
+    flag's choices, every int value read by int(), every required flag
+    present.  Help, abbreviations, '--' and every usage error are left to
+    argparse, so its messages stay its own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, flags = COMMANDS[argv[0]]
+    spec = {flag[0]: flag for flag in flags}
+    got = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        name, eq, value = token.partition("=")
+        if name not in spec or name in got:
+            return None
+        _, type_, choices, _, _, _ = spec[name]
+        if type_ is bool:
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("-"):
+                    return None
+            if type_ is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        got[name] = value
+    if any(required and name not in got for name, _, _, _, required, _ in flags):
+        return None
+    values = {name[2:].replace("-", "_"): got.get(name, default)
+              for name, _, _, default, _, _ in flags}
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

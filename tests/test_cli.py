@@ -1,7 +1,9 @@
 """Command-line surface: flags, formats, cache, exit codes."""
 import hashlib
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bklkit
+from bklkit import cli
 from bklkit.cli import main
 
 
@@ -236,7 +239,8 @@ def test_cli_import_loads_only_what_bkl_and_char_run():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "bklkit.cli" in loaded and "bklkit.canonical" in loaded
-    for name in ("bklkit.verify", "bklkit.oracle", "dataclasses", "inspect"):
+    for name in ("bklkit.verify", "bklkit.oracle", "dataclasses", "inspect", "argparse",
+                 "gettext"):
         assert name not in loaded, name
 
 
@@ -274,6 +278,7 @@ def test_usage_errors(capsys, tmp_path):
     for argv, msg in (
         (("--f", "1,1", "--wedge", "partition:V:2,1"), "--f needs 1 tensor entries"),
         (("--f", "1", "--wedge", "V:2"), "--f must be '<1 tensor entries>/<2 tail entries>'"),
+        (("--f=0/1", "--wedge", "V:-1"), "bad wedge size in 'V:-1'"),
     ):
         code, out, err = run(capsys, "bkl", "--seq", "0", *argv, "--cache-dir", str(tmp_path))
         assert (code, out, err) == (2, "", f"usage error: {msg}\n"), argv
@@ -407,3 +412,102 @@ def test_help_text_is_unchanged(capsys, monkeypatch):
         out = capsys.readouterr()
         assert (exc.value.code, out.err) == (0, ""), call
         assert hashlib.sha256(out.out.encode()).hexdigest() == want, (call, out.out)
+
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def differential_calls() -> list:
+    spec = importlib.util.spec_from_file_location("differential", ROOT / "tools" / "differential.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [call.split() for call in module.CLI_CALLS]
+
+
+def readme_calls() -> list:
+    return [shlex.split(line)[1:] for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("bklkit ")]
+
+
+def bench_calls() -> list:
+    refs = json.loads((ROOT / "bench" / "refs.json").read_text())["cold-queries"]
+    return [item["argv"] for pool in refs.values() for item in pool]
+
+
+# calls that only argparse reads: help, abbreviations, '--', a value that
+# starts with '-' after a space, and usage errors
+FALLBACK = [call.split() for call in (
+    "bkl --se 01 --f=0,1",
+    "bkl --seq 01 --f=0,1 --fo csv",
+    "bkl --seq 01 --f -1,0",
+    "bkl --seq 01 --f=1,1 --window -1",
+    "bkl --seq 01 --f=1,1 --window x",
+    "bkl --seq 01 --f=1,1 --window 3.0",
+    "bkl --seq 01 --f=1,1 --kind dual --kind canonical",
+    "bkl --seq 01 --f=1,1 --no-cache=1",
+    "bkl --seq 01 --f=1,1 --kind bogus",
+    "-h",
+    "--help",
+    "bkl --seq 01 --f=1,1 -h",
+    "char --help",
+    "bkl --seq 01 --f=1,1 --",
+    "bkl --seq 01 -- --f=1,1",
+    "bkl --f=1,1",
+    "",
+    "bkl --seq 01 --f",
+    "bkl --seq 01 --f=1,1 --bogus",
+    "char --seq 01 --lambda=0,0 --bogus",
+    "nosuch --seq 01",
+)]
+# plain calls at the edges: an empty value, a '-' value after '=', defaults
+PLAIN = [call.split() for call in (
+    "bkl --seq 01 --f=",
+    "bkl --seq= --f= --cache-dir=",
+    "bkl --seq 01 --f=-1,0 --window=-1",
+    "bkl --seq 0 --f=0/1 --wedge V:-1",
+    "char --seq 01 --lambda 0,0 --window 3 --format tex",
+    "verify",
+    "verify --suite=rank2 --max-rank 3",
+)]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors and help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_both_parsers_read_every_call_alike(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("BKLKIT_CACHE", str(tmp_path / "env"))
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = differential_calls()
+    calls += [[*argv, "--cache-dir", str(tmp_path)] for argv in calls if argv[0] == "bkl"]
+    calls += readme_calls() + PLAIN
+    assert len(readme_calls()) == 8
+    for argv in calls + FALLBACK:
+        args = cli._fast_args(argv)
+        # every well-formed call takes the fast path, so its gain cannot
+        # vanish unnoticed; the differential's own fallback calls do not
+        bare = argv[:-2] if argv[-2:-1] == ["--cache-dir"] else argv
+        assert (args is None) == (bare in FALLBACK), argv
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+            continue
+        want = outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_fast_args", lambda argv: None)
+            assert outcome(capsys, argv) == want, argv
+
+
+def test_every_benchmark_call_takes_the_fast_path(tmp_path):
+    calls = bench_calls()
+    assert calls
+    for argv in calls:
+        argv = [*argv, "--cache-dir", str(tmp_path)] if argv[0] == "bkl" else argv
+        args = cli._fast_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
