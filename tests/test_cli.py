@@ -414,7 +414,6 @@ def test_help_text_is_unchanged(capsys, monkeypatch):
         assert hashlib.sha256(out.out.encode()).hexdigest() == want, (call, out.out)
 
 
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -487,7 +486,7 @@ def test_both_parsers_read_every_call_alike(capsys, monkeypatch, tmp_path):
     calls = differential_calls()
     calls += [[*argv, "--cache-dir", str(tmp_path)] for argv in calls if argv[0] == "bkl"]
     calls += readme_calls() + PLAIN
-    assert len(readme_calls()) == 8
+    assert len(readme_calls()) >= 8
     for argv in calls + FALLBACK:
         args = cli._fast_args(argv)
         # every well-formed call takes the fast path, so its gain cannot
