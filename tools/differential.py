@@ -85,9 +85,13 @@ CLI_CALLS = (
     "bkl --seq 0101 --f=1,1,1,1 --format csv",
     "bkl --se 01 --f=0,1",
     "bkl --seq 01 --f=1,1 --window -1",
+    "bkl --seq 01 --f=0,x",
+    "bkl --seq 0x --f=0,1",
+    "bkl --seq 0 --f=0 --wedge partition:V:a",
     "char --seq 01 --lambda=0,1",
     "char --seq 11 --lambda=-1,0 --kind tilt --format csv",
     "char --seq 01 --lambda=0,0 --bogus",
+    "char --seq 01 --lambda=0,y",
     "verify --suite tensor-wedge",
     "verify --suite shift",
     "verify --suite odd-reflection",
