@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from . import cache as cachemod
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
-from .combinat import SignedSeq, WedgeIndex, check_partition, parse_weight, weight_to_f
+from .combinat import SignedSeq, WedgeIndex, check_partition, parse_int, parse_weight, weight_to_f
 from .scalars import Laurent
 
 
@@ -45,6 +45,14 @@ def _parsing():
         raise UsageError(str(exc)) from exc
 
 
+def _read(flag: str, parse, text: str):
+    """parse(text); a ValueError is a usage error that names flag."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag} {exc}") from exc
+
+
 def _parse_wedge(text: str):
     """'V:2' or 'W:3' finite wedge; 'partition:V:2,1' a partition tail."""
     parts = text.split(":")
@@ -58,7 +66,7 @@ def _parse_wedge(text: str):
         raise UsageError(f"bad wedge size in {text!r}")
     if parts[0] == "partition" and len(parts) in (2, 3):
         side = parts[1] if len(parts) == 3 else "V"
-        lam = tuple(int(v) for v in parts[-1].split(",")) if parts[-1] else ()
+        lam = tuple(parse_int(v) for v in parts[-1].split(",")) if parts[-1] else ()
         check_partition(lam)  # a ValueError here is a usage error, see _parsing
         if side not in ("V", "W"):
             raise UsageError(f"bad wedge side in {text!r}")
@@ -138,12 +146,12 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
 
 def cmd_bkl(args) -> int:
     with _parsing():
-        b = SignedSeq.parse(args.seq)
+        b = _read("--seq", SignedSeq.parse, args.seq)
         kind = {"canonical": CANONICAL, "dual": DUAL}[args.kind]
-        wedge = _parse_wedge(args.wedge) if args.wedge else None
+        wedge = _read("--wedge", _parse_wedge, args.wedge) if args.wedge else None
         if wedge and wedge[0] == "partition":
             _, side, lam = wedge
-            head = parse_weight(args.f)
+            head = _read("--f", parse_weight, args.f)
             if len(head) != len(b):
                 raise UsageError(f"--f needs {len(b)} tensor entries")
             idx = WedgeIndex(head, side, lam)
@@ -156,7 +164,7 @@ def cmd_bkl(args) -> int:
                 head_s, tail_s = args.f.split("/", 1)
             else:
                 head_s, tail_s = args.f, ""
-            head, tail = parse_weight(head_s), parse_weight(tail_s)
+            head, tail = _read("--f", parse_weight, head_s), _read("--f", parse_weight, tail_s)
             if len(head) != len(b) or len(tail) != kw:
                 raise UsageError(
                     f"--f must be '<{len(b)} tensor entries>/<{kw} tail entries>'"
@@ -169,7 +177,7 @@ def cmd_bkl(args) -> int:
             flat = head + tail
             wspec = {"side": side, "kw": kw}
         else:
-            flat = parse_weight(args.f)
+            flat = _read("--f", parse_weight, args.f)
             if len(flat) != len(b):
                 raise UsageError(f"--f needs {len(b)} entries for sequence {b}")
             wspec = None
@@ -211,8 +219,8 @@ def cmd_bkl(args) -> int:
 
 def cmd_char(args) -> int:
     with _parsing():
-        b = SignedSeq.parse(args.seq)
-        lam = parse_weight(getattr(args, "lambda"))
+        b = _read("--seq", SignedSeq.parse, args.seq)
+        lam = _read("--lambda", parse_weight, getattr(args, "lambda"))
         if len(lam) != len(b):
             raise UsageError(f"--lambda needs {len(b)} entries for sequence {b}")
         _check_window(weight_to_f(b, lam), args.window)

@@ -71,7 +71,7 @@ class SignedSeq(Frozen):
         text = text.strip()
         if text in ("", "-"):
             return cls(())
-        return cls(tuple(int(ch) for ch in text))
+        return cls(tuple(parse_int(ch) for ch in text))
 
     @classmethod
     def standard(cls, m: int, n: int) -> "SignedSeq":
@@ -457,11 +457,19 @@ def antidominant(b: SignedSeq, lam: Weight) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def parse_int(text: str) -> int:
+    """int(text), with a ValueError that quotes text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"entry {text!r} is not an integer") from None
+
+
 def parse_weight(text: str) -> Weight:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(v) for v in text.split(","))
+    return tuple(parse_int(v) for v in text.split(","))
 
 
 def format_weight(f: Weight) -> str:
