@@ -19,10 +19,10 @@ vector over the slots: a sum over chains of slots that carry consecutive
 segments of [min(c,d), max(c,d)], with a sign and power of q per slot (see
 _chains and CONVENTIONS.md).  BarContext.row scans each monomial of the
 prefix row once, left to right, and emits the chains of every move c -> d
-in that one pass; no bracket is stored.  _nested computes the same
-brackets by the recursion above on _act_raw passes; only the right-to-left
-recursion bar_row_rl uses it, on F actions with mirrored ends, as an
-independent witness of the tensor order.
+in that one pass; no bracket is stored.  oracle._nested computes the same
+brackets by the recursion above on _act_raw passes; the right-to-left
+recursion oracle.bar_row_rl uses it, on F actions with mirrored ends, as
+an independent witness of the tensor order.
 
 Every row a BarContext stores, and every wedge row stored on top of it,
 goes through BarContext.share: the context keeps one Laurent object per
@@ -51,32 +51,9 @@ equivariance and uniqueness test suites.
 """
 from __future__ import annotations
 
-from .combinat import SharpPack, SignedSeq, format_weight
-from .fock import Window, _act_raw, wedge_gather
-from .scalars import Laurent, ONE, Z_QMQINV, addmul, pack, unpack
-
-
-_MINUS_QINV = Laurent({-1: -1})
-
-
-def _nested(act, i: int, j: int, terms: dict, top: bool) -> dict:
-    """The iterated q^-1-commutator X(i,j) of act applied to raw terms.
-
-    act(terms, a) applies X_a.  X(i,i+1) = X_i, and one index is peeled
-    from the top end, X(i,j) = X(i,j-1) X_{j-1} - q^-1 X_{j-1} X(i,j-1),
-    or from the bottom, X(i,j) = X(i+1,j) X_i - q^-1 X_i X(i+1,j).
-    """
-    if not terms:
-        return {}
-    if j == i + 1:
-        return act(terms, i)
-    a, i2, j2 = (j - 1, i, j - 1) if top else (i, i + 1, j)
-    out = _nested(act, i2, j2, act(terms, a), top)
-    y = _nested(act, i2, j2, terms, top)
-    if y:
-        for g, c in act(y, a).items():
-            addmul(out, g, c, _MINUS_QINV)
-    return out
+from .combinat import SharpPack, format_weight
+from .fock import Window, wedge_gather
+from .scalars import Laurent, ONE, Z_QMQINV, pack, unpack
 
 
 def _chains(bits: tuple, g: tuple, c: int, up: bool, k: int) -> list:
@@ -209,38 +186,6 @@ class BarContext:
         if f:
             del self._rows[f]
         return row
-
-
-def bar_row_rl(window: Window, f: tuple) -> dict:
-    """Right-to-left variant of the recursion (prepends factors).
-
-    Exists to witness independence of the tensor order; not cached.
-    """
-    bits = window.b.bits
-    k = window.k
-
-    def rec(p, fs):
-        if not fs:
-            return {(): ONE}
-        c = fs[0]
-        base = rec(p + 1, fs[1:])
-        out = {(c,) + g: coef for g, coef in base.items()}
-        # a W first factor moves up and peels the top of
-        # Fb(i,j) = Fb(i,j-1) F_{j-1} - q^-1 F_{j-1} Fb(i,j-1); a V first
-        # factor moves down and peels the bottom
-        up = bits[p] == 1
-        win = Window(SignedSeq(bits[p + 1 :]), k)
-
-        def act(terms, a):
-            return _act_raw(win, terms, "F", a)
-
-        # each move c -> d adds (q - q^-1) Fb(min, max) base, with d in front
-        for d in range(c + 1, k + 1) if up else range(-k, c):
-            for g, coef in _nested(act, min(c, d), max(c, d), base, up).items():
-                addmul(out, (d,) + g, coef, Z_QMQINV)
-        return out
-
-    return rec(0, tuple(f))
 
 
 def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:
@@ -376,24 +321,3 @@ def bar_table(window: Window) -> BarTable:
             f"bar is not an involution on {window}: pair g={g}, f={f}, defect {val!r}"
         )
     return table
-
-
-def equivariance_defect(ctx: BarContext, f: tuple, a: int):
-    """Compare bar(X M_f) with X bar(M_f) for X = E_a, then F_a.
-
-    Returns the first differing (lhs, rhs), or None when both agree.
-    Exact whenever |a| + 1 < k, since then E_a and F_a commute with the
-    window projection.
-    """
-    win = ctx.window
-    for kind in ("E", "F"):
-        moved = _act_raw(win, {tuple(f): ONE}, kind, a)
-        lhs: dict = {}
-        for h, c in moved.items():
-            cb = c.bar()
-            for g, r in ctx.row(h).items():
-                addmul(lhs, g, r, cb)
-        rhs = _act_raw(win, ctx.row(tuple(f)), kind, a)
-        if lhs != rhs:
-            return (lhs, rhs)
-    return None

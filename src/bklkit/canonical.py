@@ -36,9 +36,8 @@ values and index tuples through its BarContext (see barinv); its push
 lists and columns reuse those tuples and values, and a column holds one
 object per distinct entry value and kind.
 
-Also here: parabolic N/U coordinates for an adjacent pair of sequences,
-the transports that relate the two sequences, truncation comparisons for
-q-wedge tails, and the tail-conjugating super-duality transport.
+The column witnesses (tensor against wedge, adjacent pairs, super duality,
+truncation and shift) are in verify, which bkl and char do not load.
 """
 from __future__ import annotations
 
@@ -47,18 +46,9 @@ from heapq import heappop, heappush
 from math import comb
 
 from .barinv import BarContext, wedge_bar_row
-from .combinat import (
-    SignedSeq,
-    WedgeIndex,
-    _check_adjacent,
-    bruhat_leq,
-    f_L,
-    f_U,
-    format_weight,
-    natural_bij,
-)
-from .fock import Window, wedge_gather
-from .scalars import DegreeClass, ONE, ZERO, addmul, pack, unpack
+from .combinat import SignedSeq, bruhat_leq, format_weight
+from .fock import Window
+from .scalars import ONE, ZERO, pack, unpack
 
 CANONICAL = "canonical"
 DUAL = "dual"
@@ -429,266 +419,6 @@ def _agree(a: dict, b: dict, keep, what: str) -> None:
             x, y = a.get(g, ZERO), b.get(g, ZERO)
             if x != y:
                 raise AssertionError(f"{what}: mismatch at g={g}: {x!r} != {y!r}")
-
-
-# ---------------------------------------------------------------------------
-# Tensor versus q-wedge comparisons
-# ---------------------------------------------------------------------------
-
-
-def tensor_to_wedge_canonical(
-    b: SignedSeq, side: str, kw: int, f: tuple, k: int
-) -> dict:
-    """The canonical wedge column of f, checked against the tensor level.
-
-    The extended canonical column of f.w0 times H_0, gathered in wedge
-    coordinates, must equal the wedge column entry by entry; a mismatch
-    is a hard error.  Returns the wedge column.
-    """
-    mn = len(b)
-    wwin = Window(b, k, (side, kw))
-    f = tuple(f)
-    f_w0 = f[:mn] + tuple(reversed(f[mn:]))
-    ext = engine(wwin.extended()).column(f_w0, CANONICAL).entries
-    direct = engine(wwin).column(f, CANONICAL).entries
-    _agree(wedge_gather(ext, mn, side, kw), direct, None, f"tensor-vs-wedge canonical of f={f}")
-    return direct
-
-
-def wedge_vs_tensor_dual(b: SignedSeq, side: str, kw: int, f: tuple, k: int) -> dict:
-    """The dual wedge column of f equals the tensor column at the same
-    sorted indices; a mismatch is a hard error.  Returns the wedge column."""
-    wwin = Window(b, k, (side, kw))
-    f = tuple(f)
-    direct = engine(wwin).column(f, DUAL).entries
-    tensor = engine(wwin.extended()).column(f, DUAL).entries
-    _agree(direct, tensor, wwin.valid_index, f"wedge-vs-tensor dual of f={f}")
-    return direct
-
-
-# ---------------------------------------------------------------------------
-# Parabolic N/U coordinates for an adjacent pair
-# ---------------------------------------------------------------------------
-
-
-def _tied(h: tuple, kappa: int) -> bool:
-    return h[kappa - 1] == h[kappa]
-
-
-def column_to_parabolic(
-    entries: dict, kappa: int, pair_kind: str, basis: str, k: int
-) -> dict:
-    """Rewrite an M-coordinate column into N or U coordinates.
-
-    pair_kind "VW" marks a (0,1) pair at kappa, "WV" a (1,0) pair; basis
-    "N" produces the dual-side coefficients, "U" the canonical-side ones.
-    Entries whose tie chain escapes the window stay exact as long as the
-    caller compares them inside a safe sub-box (the suites do).
-    """
-    up = 1 if pair_kind == "VW" else -1
-    # on a tied index f_L bumps both slots up and f_U bumps them down
-    lower, upper = (f_U, f_L) if up == 1 else (f_L, f_U)
-    out: dict = {}
-    if basis == "N":
-        # M_h = N_h + q^-1 N_{h bumped down}; collect per N index
-        for h, c in entries.items():
-            addmul(out, h, c)
-            if _tied(h, kappa):
-                hb = lower(h, kappa)
-                if _in_box(hb, k):
-                    addmul(out, hb, c.shift(-1))
-        return out
-    # basis == "U": solve m_h = u_h + q u_{h bumped up} down the tie chains.
-    # Chains extend below the support to the window edge: a plain monomial
-    # expands into a truncated geometric U-series, while honest canonical
-    # columns terminate on their own.
-    todo = set(entries)
-    for h in entries:
-        if _tied(h, kappa):
-            g = lower(h, kappa)
-            while _in_box(g, k):
-                todo.add(g)
-                g = lower(g, kappa)
-    order = sorted(todo, key=lambda h: -up * h[kappa - 1])
-    for h in order:
-        val = entries.get(h, ZERO)
-        if _tied(h, kappa):
-            hb = upper(h, kappa)
-            prev = out.get(hb)
-            if prev is not None:
-                val = val - prev.shift(1)
-        if val:
-            out[h] = val
-    return out
-
-
-def _pair_kind(b: SignedSeq, kappa: int) -> str:
-    _check_adjacent(b, kappa)
-    return "VW" if b.bits[kappa - 1] == 0 else "WV"
-
-
-def parabolic_columns(b: SignedSeq, kappa: int, f: tuple, k: int) -> tuple:
-    """(l-check, t-check) columns of f in N and U coordinates.
-
-    Verifies degree classes and the refined support conditions (both
-    orders must strictly descend) before returning.
-    """
-    pair_kind = _pair_kind(b, kappa)
-    bp = b.swap(kappa)
-    eng = engine(Window(b, k))
-    lcol = eng.column(tuple(f), DUAL)
-    tcol = eng.column(tuple(f), CANONICAL)
-    lcheck = column_to_parabolic(lcol.entries, kappa, pair_kind, "N", k)
-    tcheck = column_to_parabolic(tcol.entries, kappa, pair_kind, "U", k)
-    f = tuple(f)
-    vw = pair_kind == "VW"
-    for name, side, table, want, fwd in (
-        ("l-check", "dual", lcheck, DegreeClass.IN_qinvZqinv, f_L if vw else f_U),
-        ("t-check", "canonical", tcheck, DegreeClass.IN_qZq, f_U if vw else f_L),
-    ):
-        for g, c in table.items():
-            if g == f or not _in_box(g, k - 1):
-                continue
-            if c.degree_class() is not want:
-                raise TriangularityError(f"{name} degree at g={g}, f={f}: {c!r}")
-            if not (bruhat_leq(b, g, f) and bruhat_leq(bp, fwd(g, kappa), fwd(f, kappa))):
-                raise AssertionError(f"refined support violated ({side}) at g={g}, f={f}")
-    return lcheck, tcheck
-
-
-def adjacency_transport(b: SignedSeq, kappa: int, f: tuple, kind: str, k: int) -> dict:
-    """Transport a column across the odd swap and verify it from scratch.
-
-    Dual columns relabel N-coordinates by f -> f^L, canonical ones
-    U-coordinates by f -> f^U; the receiving side is recomputed
-    independently and compared on the safe sub-box.
-    """
-    if _pair_kind(b, kappa) != "VW":
-        raise ValueError("transport starts from the (0,1) side of the pair")
-    bp = b.swap(kappa)
-    f = tuple(f)
-    lcheck, tcheck = parabolic_columns(b, kappa, f, k)
-    if kind == DUAL:
-        src, move = lcheck, f_L
-    else:
-        src, move = tcheck, f_U
-    fp = move(f, kappa)
-    lcheck_p, tcheck_p = parabolic_columns(bp, kappa, fp, k)
-    dst = lcheck_p if kind == DUAL else tcheck_p
-    back = f_U if kind == DUAL else f_L  # inverse bijection of move
-    moved = {move(g, kappa): c for g, c in src.items()}
-    _agree(
-        moved,
-        dst,
-        lambda gp: _in_box(gp, k - 1) and _in_box(back(gp, kappa), k - 1),
-        f"adjacency transport ({kind}) of f={f}->{fp}",
-    )
-    return moved
-
-
-# ---------------------------------------------------------------------------
-# Combinatorial super duality
-# ---------------------------------------------------------------------------
-
-
-def superduality_compare(
-    b: SignedSeq,
-    fidx: WedgeIndex,
-    gidx: WedgeIndex,
-    kind: str,
-    kw: int,
-    k: int,
-) -> tuple:
-    """Both-sides BKL entries under the tail-conjugating bijection.
-
-    Returns (value_V_side, value_W_side); raises if they differ.  Both
-    sides are truncated at tail length kw, which every involved partition
-    and its conjugate must fit, and computed in windows of level k.
-    """
-    if fidx.side != "V" or gidx.side != "V":
-        raise ValueError("compare from the V side; the W side is derived")
-    fn, gn = natural_bij(fidx), natural_bij(gidx)
-    colv = wedge_bkl(b, "V", kw, fidx.flat(kw), kind, k=k)
-    colw = wedge_bkl(b, "W", kw, fn.flat(kw), kind, k=k)
-    lhs = colv.entries.get(gidx.flat(kw), ZERO)
-    rhs = colw.entries.get(gn.flat(kw), ZERO)
-    if lhs != rhs:
-        raise AssertionError(
-            f"super duality mismatch ({kind}) at g={gidx}, f={fidx}: {lhs!r} != {rhs!r}"
-        )
-    return lhs, rhs
-
-
-def superduality_order_preserved(b: SignedSeq, x: WedgeIndex, y: WedgeIndex) -> bool:
-    """Bruhat comparability agrees on the two sides of the bijection."""
-    if x.side != "V" or y.side != "V":
-        raise ValueError("compare V-side indices")
-    n = max(len(x.parts), len(y.parts), 1)
-    xn, yn = natural_bij(x), natural_bij(y)
-    nn = max(len(xn.parts), len(yn.parts), n)
-    bv = SignedSeq(b.bits + (0,) * nn)
-    bw = SignedSeq(b.bits + (1,) * nn)
-    lhs = bruhat_leq(bv, x.flat(nn), y.flat(nn))
-    rhs = bruhat_leq(bw, xn.flat(nn), yn.flat(nn))
-    if lhs != rhs:
-        raise AssertionError(f"order preservation fails for {x} vs {y}")
-    return lhs
-
-
-# ---------------------------------------------------------------------------
-# Truncation comparisons
-# ---------------------------------------------------------------------------
-
-
-def truncation_consistent_tensor(
-    b: SignedSeq, f: tuple, kind: str, k: int
-) -> bool:
-    """Level-(k+1) column restricted to the k-box equals the k-column.
-
-    The two columns come from the cached engines of both windows, each
-    over bar rows of its own; bkl's check solves both over one row set.
-    """
-    small = engine(Window(b, k)).column(tuple(f), kind).entries
-    big = engine(Window(b, k + 1)).column(tuple(f), kind).entries
-    _agree(small, big, lambda g: _in_box(g, k), f"tensor truncation of f={f}")
-    return True
-
-
-def truncation_consistent_wedge(
-    b: SignedSeq, side: str, kw: int, f: tuple, kind: str, k: int
-) -> bool:
-    """Tr of the (kw+1)-level column equals the kw-level column.
-
-    f is a flat index at tail length kw; it is extended by one vacuum
-    entry for the bigger space.
-    """
-    vac = (-kw) if side == "V" else (kw + 1)
-    fbig = tuple(f) + (vac,)
-    kk = max(k, abs(vac) + 1)
-    small = engine(Window(b, kk, (side, kw))).column(tuple(f), kind).entries
-    big = engine(Window(b, kk, (side, kw + 1))).column(fbig, kind).entries
-    # Tr keeps the entries whose last tail slot is the vacuum, and drops it
-    trunc = {g[:-1]: c for g, c in big.items() if g[-1] == vac}
-    _agree(small, trunc, None, f"wedge truncation of f={f}")
-    return True
-
-
-def shift_column_invariant(b: SignedSeq, f: tuple, p: int, kind: str) -> bool:
-    """Columns of f and f + p*(1,...,1) agree under the shift relabeling."""
-    f = tuple(f)
-    fs = tuple(v + p for v in f)
-    k = auto_level(b, f + fs)
-    col = engine(Window(b, k)).column(f, kind).entries
-    cols = engine(Window(b, k)).column(fs, kind).entries
-    safe = k - abs(p)
-    shifted = {tuple(v + p for v in g): c for g, c in col.items()}
-    _agree(
-        shifted,
-        cols,
-        lambda gs: _in_box(gs, safe) and _in_box([v - p for v in gs], safe),
-        f"shift by p={p} of f={f}",
-    )
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Index-level combinatorics.
 
 0^m1^n-sequences, integer weight functions and the Bruhat ordering attached
-to a sequence, down-move chains, Weyl vectors and the weight <-> index
-dictionaries, the adjacent-sequence index maps, and the partition
-bookkeeping behind semi-infinite wedge tails.
+to a sequence, Weyl vectors and the weight <-> index dictionaries, the slot
+swap of adjacent sequences, and the partition bookkeeping behind
+semi-infinite wedge tails.
 
 Positions are 1-based in the public API, mirroring the indexing [m+n];
 weight functions are plain int tuples.
@@ -222,45 +222,6 @@ class SharpPack:
         return d & self.guard == self.guard and d & self.eq == self.eq_guard
 
 
-def down_moves(b: SignedSeq, f: Weight) -> set:
-    """All g with f moving down to g by one elementary move."""
-    bits = b.bits
-    p = len(bits)
-    out = set()
-    for i in range(p):
-        for j in range(i + 1, p):
-            if bits[i] == bits[j]:
-                if bits[i] == 0 and f[i] > f[j] or bits[i] == 1 and f[i] < f[j]:
-                    g = list(f)
-                    g[i], g[j] = g[j], g[i]
-                    out.add(tuple(g))
-            elif f[i] == f[j]:
-                g = list(f)
-                g[i] -= 1 if bits[i] == 0 else -1
-                g[j] += 1 if bits[j] == 0 else -1
-                out.add(tuple(g))
-    return out
-
-
-def move_closure_reaches(b: SignedSeq, f: Weight, g: Weight) -> bool:
-    """Diagnostic: is g reachable from f by chains of down moves?
-
-    Strictly weaker than bruhat_leq for general sequences.
-    """
-    seen = {f}
-    frontier = [f]
-    bound = max(max(abs(v) for v in f), max(abs(v) for v in g))
-    while frontier:
-        h = frontier.pop()
-        if h == g:
-            return True
-        for x in down_moves(b, h):
-            if x not in seen and all(abs(v) <= bound for v in x):
-                seen.add(x)
-                frontier.append(x)
-    return g in seen
-
-
 # ---------------------------------------------------------------------------
 # Weyl vectors and the weight <-> index dictionary
 # ---------------------------------------------------------------------------
@@ -301,7 +262,7 @@ def f_to_weight(b: SignedSeq, f: Weight) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# Adjacent sequences: index maps f^L / f^U and weight maps
+# Adjacent sequences: the slot swap
 # ---------------------------------------------------------------------------
 
 
@@ -312,60 +273,10 @@ def swap_slots(f: Weight, kappa: int) -> Weight:
     return tuple(g)
 
 
-def f_L(f: Weight, kappa: int) -> Weight:
-    """Swap slots kappa, kappa+1, or bump both up when the values tie."""
-    if f[kappa - 1] != f[kappa]:
-        return swap_slots(f, kappa)
-    g = list(f)
-    g[kappa - 1] += 1
-    g[kappa] += 1
-    return tuple(g)
-
-
-def f_U(f: Weight, kappa: int) -> Weight:
-    """Swap slots kappa, kappa+1, or bump both down when the values tie."""
-    if f[kappa - 1] != f[kappa]:
-        return swap_slots(f, kappa)
-    g = list(f)
-    g[kappa - 1] -= 1
-    g[kappa] -= 1
-    return tuple(g)
-
-
 def _check_adjacent(b: SignedSeq, kappa: int):
     """ValueError unless 1 <= kappa < len(b) and slots kappa, kappa+1 differ."""
     if not (1 <= kappa < len(b)) or b.bits[kappa - 1] == b.bits[kappa]:
         raise ValueError(f"sequence {b} has no mixed pair at position {kappa}")
-
-
-def lambda_L(b: SignedSeq, kappa: int, lam: Weight) -> Weight:
-    """Highest-weight map for irreducibles across the odd reflection.
-
-    Input in b coordinates, output in coordinates of the swapped sequence.
-    The odd simple root at kappa pairs to +-(lam_kappa + lam_{kappa+1}),
-    so the two orientations share the same zero test.
-    """
-    _check_adjacent(b, kappa)
-    pairing = lam[kappa - 1] + lam[kappa]
-    mu = list(lam)
-    if pairing != 0:
-        mu[kappa - 1] -= 1
-        mu[kappa] += 1
-    return swap_slots(mu, kappa)
-
-
-def lambda_U(b: SignedSeq, kappa: int, lam: Weight) -> Weight:
-    """Highest-weight map for tiltings across the odd reflection."""
-    _check_adjacent(b, kappa)
-    pairing = lam[kappa - 1] + lam[kappa]
-    mu = list(lam)
-    if pairing == 0:
-        mu[kappa - 1] -= 2
-        mu[kappa] += 2
-    else:
-        mu[kappa - 1] -= 1
-        mu[kappa] += 1
-    return swap_slots(mu, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +289,6 @@ def check_partition(parts: tuple):
         parts[i] < parts[i + 1] for i in range(len(parts) - 1)
     ):
         raise ValueError(f"not a partition: {parts}")
-
-
-def conjugate(parts: tuple) -> tuple:
-    check_partition(parts)
-    if not parts:
-        return ()
-    return tuple(
-        sum(1 for p in parts if p > i) for i in range(parts[0])
-    )
 
 
 def v_tail(parts: tuple, kw: int) -> tuple:
@@ -419,37 +321,6 @@ class WedgeIndex(Frozen):
 
     def flat(self, kw: int) -> tuple:
         return self.head + self.tail(kw)
-
-
-def natural_bij(x: WedgeIndex) -> WedgeIndex:
-    """The tail-conjugating bijection between V-side and W-side indices."""
-    return WedgeIndex(x.head, "W" if x.side == "V" else "V", conjugate(x.parts))
-
-
-# ---------------------------------------------------------------------------
-# Typicality predicates (standard sequence only)
-# ---------------------------------------------------------------------------
-
-
-def _require_standard(b: SignedSeq):
-    if not b.is_standard():
-        raise ValueError("predicate is defined for the standard sequence only")
-
-
-def typical(b: SignedSeq, lam: Weight) -> bool:
-    _require_standard(b)
-    f = weight_to_f(b, lam)
-    m = b.m
-    return all(f[i] != f[j] for i in range(m) for j in range(m, len(b)))
-
-
-def antidominant(b: SignedSeq, lam: Weight) -> bool:
-    _require_standard(b)
-    f = weight_to_f(b, lam)
-    m = b.m
-    return all(f[i] <= f[i + 1] for i in range(m - 1)) and all(
-        f[j] >= f[j + 1] for j in range(m, len(b) - 1)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -175,13 +175,6 @@ def _act_raw(window: Window, terms: dict, kind: str, a: int) -> dict:
     return out
 
 
-def apply_gen(v: FockVector, kind: str, a: int) -> FockVector:
-    """Apply E_a, F_a, K_a or K_a^{-1} to a vector of a tensor window."""
-    if kind not in ("E", "F", "K", "Kinv"):
-        raise ValueError(f"unknown generator kind {kind}")
-    return FockVector(v.window, _act_raw(v.window, v.terms, kind, a))
-
-
 # ---------------------------------------------------------------------------
 # Hecke action and q-wedges
 # ---------------------------------------------------------------------------
@@ -205,19 +198,6 @@ def _hecke_raw(bits: tuple, terms: dict, i: int) -> dict:
             addmul(out, swapped, coef)
             addmul(out, f, coef, zz)
     return out
-
-
-def hecke_act(v: FockVector, i: int) -> FockVector:
-    """Right action of H_i (1-based) on a pure tensor window."""
-    w = v.window
-    if w.wedge is not None:
-        raise ValueError("Hecke action needs a pure tensor window")
-    bits = w.b.bits
-    if len(set(bits)) > 1:
-        raise ValueError("Hecke action is defined on pure V or pure W windows")
-    if not (1 <= i <= len(bits) - 1):
-        raise ValueError("Hecke index out of range")
-    return FockVector(w, _hecke_raw(bits, v.terms, i - 1))
 
 
 def _perms_by_length(kw: int):
@@ -259,26 +239,8 @@ def h0_apply(v: FockVector, block_start: int, kw: int) -> FockVector:
     return FockVector(w, total)
 
 
-def wedge_embed(wwin: Window, idx: tuple) -> FockVector:
-    """Embed a wedge basis vector into the extended tensor window.
-
-    The wedge vector indexed by a sorted tail h goes to M_{h.w0} H_0 on the
-    trailing block.
-    """
-    if wwin.wedge is None:
-        raise ValueError("window has no wedge part")
-    side, kw = wwin.wedge
-    if not wwin.valid_index(idx):
-        raise ValueError(f"{idx} is not a wedge index of {wwin}")
-    ext = wwin.extended()
-    mn = wwin.tensor_len
-    rev = idx[:mn] + tuple(reversed(idx[mn:]))
-    v = FockVector.monomial(ext, rev)
-    return h0_apply(v, mn, kw)
-
-
 def wedge_project(v: FockVector, wwin: Window) -> FockVector:
-    """Inverse of wedge_embed on its image: extract sorted-tail coefficients."""
+    """Inverse of oracle.wedge_embed on its image: extract sorted-tail coefficients."""
     if wwin.wedge is None:
         raise ValueError("window has no wedge part")
     return FockVector(wwin, {f: c for f, c in v.terms.items() if wwin.valid_index(f)})

@@ -6,15 +6,24 @@ rank-2 closed forms for a mixed pair, and a certificate that the bar table
 of a tiny window is the only solution of the linear constraints that
 define it: exact residuals in Z[q, q^-1] and a rank computed modulo a prime.
 All of it exists to cross-check the main pipeline, not to feed it.
+
+At the end: references for the vector actions, the wedge embedding, the
+down moves and the bar rows (_nested, bar_row_rl, the right-to-left
+witness of barinv's tensor order) that the tests compare parts against.
 """
 from __future__ import annotations
 
 from itertools import permutations
 
 from .barinv import BarContext
-from .combinat import SignedSeq, bruhat_leq, wt_signature
-from .fock import FockVector, Window, _act_raw, _weight_classes
-from .scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul, q_power
+from .combinat import SignedSeq, Weight, bruhat_leq, wt_signature
+from .fock import FockVector, Window, _act_raw, _hecke_raw, _weight_classes, h0_apply
+from .scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul
+
+
+def q_power(n: int) -> Laurent:
+    return Laurent({n: 1})
+
 
 # ---------------------------------------------------------------------------
 # Symmetric group helpers (0-based one-line notation)
@@ -319,3 +328,140 @@ def brute_bar_uniqueness(window: Window) -> dict:
             f"{len(index)} unknowns at q = 2 mod 2^61 - 1"
         )
     return {"dimension": len(basis), "unknowns": len(index), "unique": True}
+
+
+# ---------------------------------------------------------------------------
+# References for the vector actions, down moves and bar rows
+# ---------------------------------------------------------------------------
+
+
+def apply_gen(v: FockVector, kind: str, a: int) -> FockVector:
+    """Apply E_a, F_a, K_a or K_a^{-1} to a vector of a tensor window."""
+    if kind not in ("E", "F", "K", "Kinv"):
+        raise ValueError(f"unknown generator kind {kind}")
+    return FockVector(v.window, _act_raw(v.window, v.terms, kind, a))
+
+
+def hecke_act(v: FockVector, i: int) -> FockVector:
+    """Right action of H_i (1-based) on a pure tensor window."""
+    w = v.window
+    if w.wedge is not None:
+        raise ValueError("Hecke action needs a pure tensor window")
+    bits = w.b.bits
+    if len(set(bits)) > 1:
+        raise ValueError("Hecke action is defined on pure V or pure W windows")
+    if not (1 <= i <= len(bits) - 1):
+        raise ValueError("Hecke index out of range")
+    return FockVector(w, _hecke_raw(bits, v.terms, i - 1))
+
+
+def wedge_embed(wwin: Window, idx: tuple) -> FockVector:
+    """Embed a wedge basis vector into the extended tensor window.
+
+    The wedge vector indexed by a sorted tail h goes to M_{h.w0} H_0 on the
+    trailing block.
+    """
+    if wwin.wedge is None:
+        raise ValueError("window has no wedge part")
+    side, kw = wwin.wedge
+    if not wwin.valid_index(idx):
+        raise ValueError(f"{idx} is not a wedge index of {wwin}")
+    ext = wwin.extended()
+    mn = wwin.tensor_len
+    rev = idx[:mn] + tuple(reversed(idx[mn:]))
+    v = FockVector.monomial(ext, rev)
+    return h0_apply(v, mn, kw)
+
+
+def down_moves(b: SignedSeq, f: Weight) -> set:
+    """All g with f moving down to g by one elementary move."""
+    bits = b.bits
+    p = len(bits)
+    out = set()
+    for i in range(p):
+        for j in range(i + 1, p):
+            if bits[i] == bits[j]:
+                if bits[i] == 0 and f[i] > f[j] or bits[i] == 1 and f[i] < f[j]:
+                    g = list(f)
+                    g[i], g[j] = g[j], g[i]
+                    out.add(tuple(g))
+            elif f[i] == f[j]:
+                g = list(f)
+                g[i] -= 1 if bits[i] == 0 else -1
+                g[j] += 1 if bits[j] == 0 else -1
+                out.add(tuple(g))
+    return out
+
+
+def move_closure_reaches(b: SignedSeq, f: Weight, g: Weight) -> bool:
+    """Diagnostic: is g reachable from f by chains of down moves?
+
+    Strictly weaker than bruhat_leq for general sequences.
+    """
+    seen = {f}
+    frontier = [f]
+    bound = max(max(abs(v) for v in f), max(abs(v) for v in g))
+    while frontier:
+        h = frontier.pop()
+        if h == g:
+            return True
+        for x in down_moves(b, h):
+            if x not in seen and all(abs(v) <= bound for v in x):
+                seen.add(x)
+                frontier.append(x)
+    return g in seen
+
+
+_MINUS_QINV = Laurent({-1: -1})
+
+
+def _nested(act, i: int, j: int, terms: dict, top: bool) -> dict:
+    """The iterated q^-1-commutator X(i,j) of act applied to raw terms.
+
+    act(terms, a) applies X_a.  X(i,i+1) = X_i, and one index is peeled
+    from the top end, X(i,j) = X(i,j-1) X_{j-1} - q^-1 X_{j-1} X(i,j-1),
+    or from the bottom, X(i,j) = X(i+1,j) X_i - q^-1 X_i X(i+1,j).
+    """
+    if not terms:
+        return {}
+    if j == i + 1:
+        return act(terms, i)
+    a, i2, j2 = (j - 1, i, j - 1) if top else (i, i + 1, j)
+    out = _nested(act, i2, j2, act(terms, a), top)
+    y = _nested(act, i2, j2, terms, top)
+    if y:
+        for g, c in act(y, a).items():
+            addmul(out, g, c, _MINUS_QINV)
+    return out
+
+
+def bar_row_rl(window: Window, f: tuple) -> dict:
+    """Right-to-left variant of the recursion (prepends factors).
+
+    Exists to witness independence of the tensor order; not cached.
+    """
+    bits = window.b.bits
+    k = window.k
+
+    def rec(p, fs):
+        if not fs:
+            return {(): ONE}
+        c = fs[0]
+        base = rec(p + 1, fs[1:])
+        out = {(c,) + g: coef for g, coef in base.items()}
+        # a W first factor moves up and peels the top of
+        # Fb(i,j) = Fb(i,j-1) F_{j-1} - q^-1 F_{j-1} Fb(i,j-1); a V first
+        # factor moves down and peels the bottom
+        up = bits[p] == 1
+        win = Window(SignedSeq(bits[p + 1 :]), k)
+
+        def act(terms, a):
+            return _act_raw(win, terms, "F", a)
+
+        # each move c -> d adds (q - q^-1) Fb(min, max) base, with d in front
+        for d in range(c + 1, k + 1) if up else range(-k, c):
+            for g, coef in _nested(act, min(c, d), max(c, d), base, up).items():
+                addmul(out, (d,) + g, coef, Z_QMQINV)
+        return out
+
+    return rec(0, tuple(f))

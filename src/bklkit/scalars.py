@@ -114,18 +114,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, e: int) -> "Laurent":
         """Multiply by q^e; q^0 returns self."""
         if not e:
@@ -241,10 +229,6 @@ def unpack(x: int, base: int, offset: int) -> Laurent:
         x = (x - d) >> base
         e += 1
     return Laurent(_raw=c)
-
-
-def q_power(n: int) -> Laurent:
-    return Laurent({n: 1})
 
 
 def gauss_int(r: int) -> Laurent:

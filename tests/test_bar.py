@@ -12,15 +12,14 @@ from bklkit.barinv import (
     BarContext,
     BarTable,
     _chains,
-    _nested,
-    bar_row_rl,
     bar_table,
-    equivariance_defect,
     wedge_bar_row,
 )
 from bklkit.combinat import SignedSeq
-from bklkit.fock import FockVector, Window, _act_raw, hecke_act
-from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, addmul, q_power
+from bklkit.fock import FockVector, Window, _act_raw
+from bklkit.oracle import _nested, bar_row_rl, hecke_act, q_power
+from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, addmul
+from bklkit.verify import equivariance_defect
 
 
 def tie_row(f, k, step):
@@ -420,7 +419,10 @@ def chain_brackets(bits, terms, c, up, k):
     out: dict = {}
     for g, coef in terms.items():
         for h, d, e, neg, r in _chains(bits, g, c, up, k):
-            t = (coef * Z_QMQINV ** (r - 1)).shift(e)
+            t = coef
+            for _ in range(r - 1):
+                t = t * Z_QMQINV
+            t = t.shift(e)
             addmul(out.setdefault(d, {}), h, -t if neg else t)
     return out
 

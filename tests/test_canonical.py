@@ -16,12 +16,21 @@ from bklkit.canonical import (
     BklEngine,
     BklTable,
     TriangularityError,
-    _pair_kind,
-    adjacency_transport,
     auto_level,
     bkl,
-    column_to_parabolic,
     engine,
+    wedge_bkl,
+)
+from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, wt_signature
+from bklkit.fock import Window
+from bklkit.oracle import q_power, rank2_forms
+from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, pack
+from bklkit.verify import (
+    _pair_kind,
+    adjacency_transport,
+    column_to_parabolic,
+    lambda_L,
+    odd_reflection_check,
     parabolic_columns,
     shift_column_invariant,
     superduality_compare,
@@ -29,14 +38,8 @@ from bklkit.canonical import (
     tensor_to_wedge_canonical,
     truncation_consistent_tensor,
     truncation_consistent_wedge,
-    wedge_bkl,
     wedge_vs_tensor_dual,
 )
-from bklkit.characters import odd_reflection_check
-from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, lambda_L, wt_signature
-from bklkit.fock import Window
-from bklkit.oracle import rank2_forms
-from bklkit.scalars import DegreeClass, Laurent, ONE, ZERO, Z_QMQINV, addmul, pack, q_power
 
 
 def test_two_element_chain():

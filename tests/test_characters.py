@@ -3,16 +3,15 @@ from itertools import product
 
 import pytest
 
-from bklkit import characters
-from bklkit.canonical import column_to_parabolic
+from bklkit import verify
 from bklkit.characters import (
     IRREDUCIBLE,
     TILTING,
     irreducible_character,
-    odd_reflection_check,
     tilting_character,
 )
-from bklkit.combinat import SignedSeq, antidominant, f_to_weight, typical, weight_to_f
+from bklkit.combinat import SignedSeq, f_to_weight, weight_to_f
+from bklkit.verify import column_to_parabolic, odd_reflection_check
 
 
 def test_gl11_atypical_irreducible():
@@ -98,7 +97,7 @@ def test_odd_reflection_bumps_ties_along_the_reflected_pair(monkeypatch):
         seen.append(pair_kind)
         return column_to_parabolic(entries, kappa, pair_kind, basis, k)
 
-    monkeypatch.setattr(characters, "column_to_parabolic", recording)
+    monkeypatch.setattr(verify, "column_to_parabolic", recording)
     for bs, want in (("01", "WV"), ("10", "VW")):
         b = SignedSeq.parse(bs)
         seen.clear()

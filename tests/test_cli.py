@@ -1,4 +1,5 @@
 """Command-line surface: flags, formats, cache, exit codes."""
+import ast
 import hashlib
 import importlib.util
 import json
@@ -242,6 +243,47 @@ def test_cli_import_loads_only_what_bkl_and_char_run():
     for name in ("bklkit.verify", "bklkit.oracle", "dataclasses", "inspect", "argparse",
                  "gettext"):
         assert name not in loaded, name
+
+
+def test_cli_modules_define_only_what_they_run():
+    # every top-level def and class of a module that `import bklkit.cli`
+    # loads is referenced from those modules outside its own body, is
+    # exported by the package, or heads a bench hook target; a witness
+    # that only verify, the oracle or a test calls belongs in verify or
+    # oracle, which bkl and char do not load
+    code = (
+        "import json, sys; import bklkit.cli; print(json.dumps({name: mod.__file__ "
+        "for name, mod in sys.modules.items() if name.split('.')[0] == 'bklkit'}))"
+    )
+    proc = fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    files = json.loads(proc.stdout)
+    assert "bklkit.canonical" in files
+    trees = {name: ast.parse(Path(path).read_text()) for name, path in files.items()}
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(bench))
+    kept = {(module, path.split(".")[0]) for module, path, _ in tracing.SPAN_HOOKS.values()}
+    refs: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (module, node.name) in kept or node.name in bklkit.__all__:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(ref in inside for ref in refs.get(node.name, ())):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
 
 
 def test_verify_imports_its_suites_when_it_runs():

@@ -8,23 +8,24 @@ from bklkit.combinat import (
     SharpPack,
     SignedSeq,
     WedgeIndex,
-    antidominant,
     bruhat_leq,
-    conjugate,
-    down_moves,
-    f_L,
-    f_U,
     f_to_weight,
-    lambda_L,
-    lambda_U,
-    move_closure_reaches,
-    natural_bij,
-    typical,
     v_tail,
     w_tail,
     weight_to_f,
     weyl_rho,
     wt_signature,
+)
+from bklkit.oracle import down_moves, move_closure_reaches
+from bklkit.verify import (
+    antidominant,
+    conjugate,
+    f_L,
+    f_U,
+    lambda_L,
+    lambda_U,
+    natural_bij,
+    typical,
 )
 
 

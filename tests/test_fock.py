@@ -9,14 +9,12 @@ from bklkit.fock import (
     FockVector,
     Window,
     _weight_classes,
-    apply_gen,
     h0_apply,
-    hecke_act,
-    wedge_embed,
     wedge_gather,
     wedge_project,
 )
-from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, q_power
+from bklkit.oracle import apply_gen, hecke_act, q_power, wedge_embed
+from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV
 
 
 def mono(win, f, c=ONE):

@@ -13,11 +13,12 @@ from bklkit.oracle import (
     kl_basis,
     perm_bruhat_leq,
     perm_inversions,
+    q_power,
     rank2_forms,
     reduced_word,
     schur_jimbo_match,
 )
-from bklkit.scalars import Laurent, ONE, Z_QMQINV, addmul, q_power
+from bklkit.scalars import Laurent, ONE, Z_QMQINV, addmul
 
 
 def test_hecke_relations():

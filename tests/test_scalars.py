@@ -17,9 +17,9 @@ from bklkit.scalars import (
     gauss_fact,
     gauss_int,
     pack,
-    q_power,
     unpack,
 )
+from bklkit.oracle import q_power
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -200,7 +200,10 @@ def test_gauss_fact_divides_product():
         num = ONE
         for s in range(1, r + 1):
             num = num * Laurent({s: 1, -s: -1})
-        assert num == gauss_fact(r) * Z_QMQINV**r
+        den = gauss_fact(r)
+        for _ in range(r):
+            den = den * Z_QMQINV
+        assert num == den
 
 
 def test_degree_class():
