@@ -10,12 +10,22 @@ time.perf_counter:
     setup-probe  bench/run.py --workload cold-queries --seed 21 --setup-probe
                  (imports bklkit and the bench, draws the inputs, exits)
 
+and takes two more samples inside each new interpreter, also with
+time.perf_counter, so that interpreter start-up falls outside them:
+
+    import-in-process  the `import bklkit.cli` statement alone
+    compile            compile() of the source of every bklkit module that
+                       `import bklkit.cli` loaded, read before the clock
+                       starts (what each process pays for src/ when no
+                       __pycache__ is written)
+
 Each process gets PYTHONPATH=<checkout>/src and the rest of the caller's
 environment (PYTHONDONTWRITEBYTECODE included, which decides whether src/
-is compiled at every start).  Prints one JSON object: per command each
-side's samples, median and quartiles, and the pairs the new checkout won;
-per checkout the bklkit modules that `import bklkit.cli` loads, and
-whether it loads dataclasses or inspect; nproc and the Python version.
+is compiled at every start).  Prints one JSON object: per command and
+per in-process sample, each side's samples, median and quartiles, and the
+pairs the new checkout won; per checkout the bklkit modules that `import
+bklkit.cli` loads, and whether it loads dataclasses or inspect; nproc and
+the Python version.
 
     python tools/startup_probe.py --old ../parent --new . --pairs 15
 """
@@ -42,6 +52,18 @@ COMMANDS = {
         "bench/run.py", "--workload", "cold-queries", "--seed", "21", "--setup-probe",
     ],
 }
+IN_PROCESS = {
+    "import-in-process": (
+        "from time import perf_counter; start = perf_counter(); import bklkit.cli; "
+        "print(perf_counter() - start)"
+    ),
+    "compile": (
+        "import sys; from time import perf_counter; import bklkit.cli; "
+        "texts = [(m.__file__, open(m.__file__).read()) for name, m in list(sys.modules.items()) "
+        "if name.split('.')[0] == 'bklkit']; start = perf_counter(); "
+        "[compile(text, path, 'exec') for path, text in texts]; print(perf_counter() - start)"
+    ),
+}
 LOADED = (
     "import json, sys; before = set(sys.modules); import bklkit.cli; "
     "new = set(sys.modules) - before; "
@@ -64,6 +86,11 @@ def timed(checkout: Path, args: list) -> float:
     return perf_counter() - start
 
 
+def timed_inside(checkout: Path, code: str) -> float:
+    """The seconds that code, run in a new interpreter, prints."""
+    return float(run(checkout, ["-c", code]).stdout)
+
+
 def summary(samples: list) -> dict:
     q1, _, q3 = statistics.quantiles(samples, n=4)
     return {
@@ -75,18 +102,22 @@ def summary(samples: list) -> dict:
 
 
 def probe(old: Path, new: Path, pairs: int) -> dict:
-    times: dict = {name: {"old": [], "new": []} for name in COMMANDS}
+    times: dict = {name: {"old": [], "new": []} for name in (*COMMANDS, *IN_PROCESS)}
     for i in range(pairs):
         order = (("old", old), ("new", new)) if i % 2 == 0 else (("new", new), ("old", old))
         for name, args in COMMANDS.items():
             for side, checkout in order:
                 times[name][side].append(timed(checkout, args))
+        for name, code in IN_PROCESS.items():
+            for side, checkout in order:
+                times[name][side].append(timed_inside(checkout, code))
     out: dict = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "pairs": pairs,
         "commands": {name: " ".join(args) for name, args in COMMANDS.items()},
+        "in_process": IN_PROCESS,
         "loaded_by_import": {
             side: json.loads(run(checkout, ["-c", LOADED]).stdout)
             for side, checkout in (("old", old), ("new", new))
