@@ -67,7 +67,7 @@ def _parse_wedge(text: str):
     if parts[0] == "partition" and len(parts) in (2, 3):
         side = parts[1] if len(parts) == 3 else "V"
         lam = tuple(parse_int(v) for v in parts[-1].split(",")) if parts[-1] else ()
-        check_partition(lam)  # a ValueError here is a usage error, see _parsing
+        check_partition(lam)  # a ValueError here is a usage error, see _read
         if side not in ("V", "W"):
             raise UsageError(f"bad wedge side in {text!r}")
         return ("partition", side, lam)

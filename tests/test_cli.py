@@ -316,20 +316,20 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
-    # a wedge head of the wrong length, and a finite wedge index with no tail
+    # a wedge head of the wrong length, a finite wedge index with no tail,
+    # and non-integer entries, which name their flag and their text
     for argv, msg in (
         (("--f", "1,1", "--wedge", "partition:V:2,1"), "--f needs 1 tensor entries"),
         (("--f", "1", "--wedge", "V:2"), "--f must be '<1 tensor entries>/<2 tail entries>'"),
         (("--f=0/1", "--wedge", "V:-1"), "bad wedge size in 'V:-1'"),
+        (("--f=x",), "--f entry 'x' is not an integer"),
         (("--f=0", "--wedge", "partition:V:a"), "--wedge entry 'a' is not an integer"),
     ):
         code, out, err = run(capsys, "bkl", "--seq", "0", *argv, "--cache-dir", str(tmp_path))
         assert (code, out, err) == (2, "", f"usage error: {msg}\n"), argv
-    # a non-integer entry names its flag and its text
-    cache = ("--cache-dir", str(tmp_path))
     for argv, msg in (
-        (("bkl", "--seq", "01", "--f=0,x", *cache), "--f entry 'x' is not an integer"),
-        (("bkl", "--seq", "0x", "--f=0,1", *cache), "--seq entry 'x' is not an integer"),
+        (("bkl", "--seq", "0x", "--f=0,1", "--cache-dir", str(tmp_path)),
+         "--seq entry 'x' is not an integer"),
         (("char", "--seq", "01", "--lambda=0,y"), "--lambda entry 'y' is not an integer"),
     ):
         code, out, err = run(capsys, *argv)
