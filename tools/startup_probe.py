@@ -17,7 +17,7 @@ time.perf_counter, so that interpreter start-up falls outside them:
     compile            compile() of the source of every bklkit module that
                        `import bklkit.cli` loaded, read before the clock
                        starts (what each process pays for src/ when no
-                       __pycache__ is written)
+                       __pycache__ is written); the median of five passes
 
 Each process gets PYTHONPATH=<checkout>/src and the rest of the caller's
 environment (PYTHONDONTWRITEBYTECODE included, which decides whether src/
@@ -57,12 +57,20 @@ IN_PROCESS = {
         "from time import perf_counter; start = perf_counter(); import bklkit.cli; "
         "print(perf_counter() - start)"
     ),
-    "compile": (
-        "import sys; from time import perf_counter; import bklkit.cli; "
-        "texts = [(m.__file__, open(m.__file__).read()) for name, m in list(sys.modules.items()) "
-        "if name.split('.')[0] == 'bklkit']; start = perf_counter(); "
-        "[compile(text, path, 'exec') for path, text in texts]; print(perf_counter() - start)"
-    ),
+    "compile": """
+import statistics, sys
+from time import perf_counter
+import bklkit.cli
+texts = [(m.__file__, open(m.__file__).read())
+         for name, m in list(sys.modules.items()) if name.split(".")[0] == "bklkit"]
+passes = []
+for _ in range(5):
+    start = perf_counter()
+    for path, text in texts:
+        compile(text, path, "exec")
+    passes.append(perf_counter() - start)
+print(statistics.median(passes))
+""",
 }
 LOADED = (
     "import json, sys; before = set(sys.modules); import bklkit.cli; "
