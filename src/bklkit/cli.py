@@ -183,17 +183,17 @@ def cmd_bkl(args) -> int:
             wspec = None
         _check_window(flat, args.window)
 
-    key = cachemod.cache_key(
-        "bkl-column",
-        b=str(b),
-        f=list(flat),
-        kind=kind,
-        window=args.window,
-        wedge=wspec,
-    )
-    root = cachemod.cache_dir(args.cache_dir)
     payload = None
     if not args.no_cache:
+        key = cachemod.cache_key(
+            "bkl-column",
+            b=str(b),
+            f=list(flat),
+            kind=kind,
+            window=args.window,
+            wedge=wspec,
+        )
+        root = cachemod.cache_dir(args.cache_dir)
         payload_bytes = cachemod.load(root, key)
         if payload_bytes is not None:
             # an undecodable entry or one without a column is a miss
@@ -208,11 +208,11 @@ def cmd_bkl(args) -> int:
             col = bkl(b, flat, kind, k=args.window)
         else:
             col = wedge_bkl(b, wspec["side"], wspec["kw"], flat, kind, k=args.window)
+        # every value is a JSON-native str, int, list, dict or None with str
+        # keys, so the payload renders as it would after a json round trip
         payload = col.to_json()
-        payload_bytes = json.dumps(payload, sort_keys=True).encode()
         if not args.no_cache:
-            cachemod.store(root, key, payload_bytes)
-        payload = json.loads(payload_bytes)
+            cachemod.store(root, key, json.dumps(payload, sort_keys=True).encode())
     print(_render_column(payload, args.format, args.at_q1))
     return 0
 

@@ -124,6 +124,62 @@ def test_bkl_env_cache(capsys, tmp_path, monkeypatch):
     assert list((tmp_path / "envcache").rglob("*.json"))
 
 
+# keys recorded from the cache before it moved off pathlib and tempfile; an
+# existing cache must still hit
+RECORDED_KEYS = (
+    (dict(b="01", f=[3, 3], kind="dual", window=6, wedge=None),
+     "0ed0b5defc6dd93f930de1645b5c89d2f195edd051dfaba3a8b981c021bbd1ff"),
+    (dict(b="0", f=[0, 2, 1], kind="canonical", window=None, wedge={"side": "V", "kw": 2}),
+     "b0a4ca4ca74a2f523ec92b6813c2366f582474d552d870aec74e9668b73a1ab2"),
+    (dict(b="0101", f=[2, 1, 1, 2], kind="dual", window=2, wedge=None),
+     "3c450e647a3dfbeae4abfb78ce3bd6c8a241659ba02fc874c84216013fb8d14a"),
+    (dict(b="0", f=[-1, 2, 0], kind="dual", window=None,
+          wedge={"side": "V", "kw": 2, "partition": [2, 1]}),
+     "6c61e009bdd62f9e679c5d438368fc82d33775b77839f3ba532522dcdaaaecae"),
+)
+
+
+def test_cache_keys_are_unchanged(capsys, tmp_path):
+    from bklkit import cache
+
+    for fields, key in RECORDED_KEYS:
+        assert cache.cache_key("bkl-column", **fields) == key
+    code, _, _ = run(capsys, "bkl", "--seq", "0", "--f=-1", "--wedge", "partition:V:2,1",
+                     "--kind", "dual", "--cache-dir", str(tmp_path))
+    assert code == 0
+    key = RECORDED_KEYS[-1][1]
+    assert [p.relative_to(tmp_path).parts for p in tmp_path.rglob("*") if p.is_file()] == [
+        (key[:2], key[2:4], f"{key}.json")
+    ]
+
+
+def test_cache_store_is_atomic_and_private(tmp_path, monkeypatch):
+    import stat
+    import threading
+
+    from bklkit import cache
+
+    key = RECORDED_KEYS[0][1]
+    path = tmp_path / key[:2] / key[2:4] / f"{key}.json"
+    assert cache.store(str(tmp_path), key, b"{}") == str(path)
+    assert path.read_bytes() == b"{}" and cache.load(str(tmp_path), key) == b"{}"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    # a stale temp file of this process and thread is overwritten, then renamed
+    tmp = Path(f"{path}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_bytes(b"stale bytes, longer than the payload")
+    cache.store(str(tmp_path), key, b"[]")
+    assert path.read_bytes() == b"[]" and not tmp.exists()
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cache.store(str(tmp_path), key, b"null")
+    assert path.read_bytes() == b"[]"
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+
 def test_bkl_formats(capsys, tmp_path):
     _, out, _ = run(
         capsys, "bkl", "--seq", "01", "--f", "2,2", "--kind", "canonical",
@@ -242,6 +298,14 @@ def test_cli_import_loads_only_what_bkl_and_char_run():
     assert "bklkit.cli" in loaded and "bklkit.canonical" in loaded
     for name in ("bklkit.verify", "bklkit.oracle", "dataclasses", "inspect", "argparse",
                  "gettext"):
+        assert name not in loaded, name
+    # without site, which may preload them, the cache's round trip loads
+    # neither pathlib nor tempfile and what tempfile pulls in
+    proc = fresh("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "bklkit.cli" in loaded
+    for name in ("pathlib", "tempfile", "shutil", "random"):
         assert name not in loaded, name
 
 
@@ -381,6 +445,26 @@ def test_unusable_cache_dir_is_a_one_line_failure(capsys, tmp_path, monkeypatch)
     monkeypatch.setenv("BKLKIT_CACHE", str(afile))
     code, out, err = run(capsys, "bkl", "--seq", "01", "--f", "1,1")
     assert code == 1 and err.startswith("internal failure: NotADirectoryError: ")
+
+
+def test_no_home_directory_is_a_one_line_failure(capsys, tmp_path, monkeypatch):
+    import pwd
+
+    def no_entry(uid):
+        raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("BKLKIT_CACHE", raising=False)
+    monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "bkl", "--seq", "01", "--f", "1,1")
+    assert code == 1 and out == ""
+    assert err.startswith("internal failure: OSError: cannot find a home directory")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # not even a relative ./~
+    code, out, err = run(capsys, "bkl", "--seq", "01", "--f", "1,1", "--no-cache")
+    assert code == 0 and json.loads(out)["f"] == "1,1" and err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_flag_exits_2(capsys):

@@ -22,7 +22,9 @@ With --cli the map covers the command line instead: each call in
 CLI_CALLS runs through cli.main in this process, keyed by its argv, and
 records "<exit code>:<sha256 of stdout>".  Every `bkl` call gets a fresh
 temporary --cache-dir (or runs with --no-cache), so no cache from the
-environment leaks in; COLD_WARM runs twice in one cache dir.  This mode
+environment leaks in.  Each call with a --cache-dir then runs a second
+time in the same dir, and the mode exits 1 naming the call if this warm
+run differs from the cold one; COLD_WARM records both runs.  This mode
 takes about a second:
 
     PYTHONPATH=src python tools/differential.py --cli --check tools/cli_digests.json
@@ -114,9 +116,12 @@ def cli_digests() -> dict:
     for call in CLI_CALLS:
         argv = call.split()
         with tempfile.TemporaryDirectory() as tmp:
-            if argv[0] == "bkl" and "--no-cache" not in argv:
+            cached = argv[0] == "bkl" and "--no-cache" not in argv
+            if cached:
                 argv += ["--cache-dir", tmp]
             out[call] = cli_run(argv)
+            if cached and cli_run(argv) != out[call]:
+                raise SystemExit(f"warm run differs from cold at {call}")
     with tempfile.TemporaryDirectory() as tmp:
         argv = COLD_WARM.split() + ["--cache-dir", tmp]
         out[f"{COLD_WARM} (cold)"] = cli_run(argv)
