@@ -1,4 +1,4 @@
-"""Content-addressed result cache, on os and os.path alone (start-up cost).
+"""Content-addressed result cache, on os and os.path only, for start-up time.
 
 One JSON file per key under a two-level hash directory.  Keys are the
 sha256 of a canonical JSON encoding carrying a schema version and an
