@@ -25,8 +25,10 @@ recursion oracle.bar_row_rl uses it, on F actions with mirrored ends, as
 an independent witness of the tensor order.
 
 Every row a BarContext stores, and every wedge row stored on top of it,
-goes through BarContext.share: the context keeps one Laurent object per
+holds only the context's copies: the context keeps one Laurent object per
 distinct value and one tuple per index, for as long as the context lives.
+BarContext.row interns each key as it first puts it in and puts in stored
+values only; the root row and wedge rows go through BarContext.share.
 A large window stores millions of entries but only a few thousand distinct
 polynomials.  The sharing is safe because a Laurent is immutable and
 addmul never mutates its inputs.  The keys of the move to d end in d, so
@@ -35,11 +37,10 @@ the chain terms never meet the shifted prefix row; each chain term value,
 context, and so is each power (q - q^-1)^r; the first term at a key is
 stored as it is, and terms that meet at one key sum once per pair of
 stored values (BarContext._sums), so a row holds stored values only and
-share() hashes none of them.  The engine's solve takes each full-length
-tensor row out of its context (BarContext.take) and keeps it as a push
-list (see canonical).  A wedge row takes the extended row it is gathered
-from, so the context never keeps a full-length extended row beside the
-wedge row.
+is stored as built.  The engine's solve takes each full-length tensor row
+out of its context (BarContext.take) and keeps it as a push list (see
+canonical).  A wedge row takes the extended row it is gathered from, so
+the context never keeps a full-length extended row beside the wedge row.
 
 BarTable checks its rows exactly in integers: the involution identity by
 Kronecker substitution, unitriangularity through combinat.SharpPack (both
@@ -116,7 +117,8 @@ class BarContext:
         self._rows: dict = {(): self.share({(): ONE})}
 
     def share(self, d: dict) -> dict:
-        """d with every key and value replaced by this context's copy of it.
+        """d with every key and value replaced by this context's copy of it:
+        for the root row and for wedge rows, which row() does not build.
 
         A value that already is a stored copy is recognised by its id, with
         no hash or comparison; the ids stay valid because _values holds
@@ -146,14 +148,16 @@ class BarContext:
             raise ValueError(f"index {f} not in window")
         prefix, c = f[:-1], f[-1]
         base = self.row(prefix)
-        out = {g + (c,): coef for g, coef in base.items()}
         # every move d != c ends its keys in d, so the chain terms never meet
         # the shifted prefix row; terms that meet at one key sum through
         # _sums, once per pair of stored values, so every value in out is
-        # a stored one
+        # a stored one, and every key is interned as it first goes in
         bits, up, k = self.bits, self.bits[p - 1] == 0, self.k
-        terms, sums, zpows = self._terms, self._sums, self._zpows
+        keys, terms, sums, zpows = self._keys, self._terms, self._sums, self._zpows
+        out: dict = {}
         for g, coef in base.items():
+            key = g + (c,)
+            out[keys.setdefault(key, key)] = coef
             for h, d, e, neg, r in _chains(bits, g, c, up, k):
                 tk = (id(coef), e, neg, r)
                 s = terms.get(tk)
@@ -164,7 +168,9 @@ class BarContext:
                     s = terms[tk] = self._pool(-s if neg else s)
                 key = h + (d,)
                 a = out.get(key)
-                if a is not None:
+                if a is None:
+                    key = keys.setdefault(key, key)
+                else:
                     sk = (id(a), id(s))
                     v = sums.get(sk)
                     if v is None:
@@ -174,7 +180,7 @@ class BarContext:
                         continue
                     s = v
                 out[key] = s
-        out = self._rows[f] = self.share(out)
+        self._rows[f] = out
         return out
 
     def take(self, f: tuple) -> dict:
@@ -248,22 +254,21 @@ class BarTable:
         r_{gh} bar(r_{hf}) is the product of two ints, and a sum s packs as
         s(2^B) 2^(2 B E), a polynomial in 2^B with exponents in [0, 4E].
         Every coefficient of every partial sum, and of a sum minus delta, is
-        at most max_f sum_h L1(r_hf) * max L1 + 1 in absolute value (L1 the
-        sum of absolute coefficients), and B is chosen so that this is
-        below 2^(B-1).  A polynomial with coefficients in (-2^(B-1),
-        2^(B-1)) is 0 at 2^B only if it is 0 (its top nonzero term
-        outweighs all lower ones), so each packed test below is exact, and
-        a defect decodes back by balanced base-2^B digits (scalars.unpack).
+        at most sum_h L1(r_gh) L1(r_hf) + 1 <= N * (max L1)^2 + 1 in
+        absolute value (L1 the sum of absolute coefficients, N the length
+        of the longest row, which has at least as many h as any sum), and B
+        is chosen so that this is below 2^(B-1).  A polynomial with
+        coefficients in (-2^(B-1), 2^(B-1)) is 0 at 2^B only if it is 0 (its
+        top nonzero term outweighs all lower ones), so each packed test
+        below is exact, and a defect decodes back by balanced base-2^B
+        digits (scalars.unpack).
         """
         rows = self.rows
         values = {id(c): c for row in rows.values() for c in row.values()}
         span = max((abs(e) for c in values.values() for e in c.c), default=0)
-        l1 = {i: sum(map(abs, c.c.values())) for i, c in values.items()}
-        reach = max(
-            (sum(l1[id(c)] for h, c in row.items() if h in rows) for row in rows.values()),
-            default=0,
-        )
-        base = (reach * max(l1.values(), default=0) + 1).bit_length() + 1
+        top = max((sum(map(abs, c.c.values())) for c in values.values()), default=0)
+        reach = max(map(len, rows.values()), default=0) * top
+        base = (reach * top + 1).bit_length() + 1
         packs = {i: pack(c, base, span) for i, c in values.items()}
         bars = {i: pack(c.bar(), base, span) for i, c in values.items()}
         one = 1 << (2 * base * span)

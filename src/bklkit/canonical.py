@@ -120,8 +120,8 @@ class BklEngine:
         # widened as columns need and kept for the engine's lifetime
         self._lanes = lanes
         # id of a bar-row value -> its pack at the lanes; ids stay valid
-        # because BarContext.share pools every row value (tensor and wedge
-        # rows alike) for as long as the engine lives
+        # because the BarContext pools every row value it stores (see
+        # barinv) for as long as the engine lives
         self._packs: dict = {}
         self._l1 = 0  # the largest L1 norm of a packed bar-row value
         # per kind, the lanes e >= 0 of a popped pending sum s = p - bar(p)
@@ -156,22 +156,27 @@ class BklEngine:
 
     def column(self, f: tuple, kind: str) -> BklColumn:
         f = tuple(f)
+        hit = self._columns.get((f, kind))
+        if hit is None:
+            self._check(f, kind)
+            hit = self._column(f, kind)
+        return hit
+
+    def _column(self, f: tuple, kind: str) -> BklColumn:
+        """The memoized column of a checked f and kind."""
         memo = (f, kind)
-        hit = self._columns.get(memo)
-        if hit is not None:
-            return hit
-        self._check(f, kind)
-        out = self._solve(f, kind)
-        while out is None:  # the column outgrew the lanes, which are wider now
+        col = self._columns.get(memo)
+        if col is None:
             out = self._solve(f, kind)
-        col = BklColumn(self.window, f, kind, out)
-        self._columns[memo] = col
+            while out is None:  # the column outgrew the lanes, which are wider now
+                out = self._solve(f, kind)
+            col = self._columns[memo] = BklColumn(self.window, f, kind, out)
         return col
 
-    def _check(self, f: tuple, kind: str) -> None:
+    def _check(self, f: tuple | None, kind: str) -> None:
         if kind not in (CANONICAL, DUAL):
             raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
-        if not self.window.valid_index(f):
+        if f is not None and not self.window.valid_index(f):
             raise ValueError(f"index {f} not in window {self.window}")
 
     def below(self) -> "BklEngine":
@@ -195,7 +200,7 @@ class BklEngine:
         row = ctx.take(f) if self.window.wedge is None else wedge_bar_row(self.window, ctx, f)
         if row.get(f) != ONE:
             raise TriangularityError(f"bar data at the diagonal f={f} is {row.get(f)!r}, not 1")
-        num, number, pack_at = self._num, self._id, self._pack
+        num, number, packs, pack_at = self._num, self._id, self._packs, self._pack
         top = ((n >> self._bits) + 1) << self._bits  # every id below has a key <= key(f)
         lanes = self._lanes
         push: list = []
@@ -207,8 +212,8 @@ class BklEngine:
                 if h == f:
                     continue
                 raise TriangularityError(f"bar data at g={h} is not below f={f}: r_gf={r!r}")
-            push += (m, r, pack_at(r))
-        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
+            push += (m, r, packs.get(id(r)) or pack_at(r))
+        if self._lanes != lanes:  # widened mid-build, so packs read so far are stale: re-pack all
             self._repack(push)
         self._pushes[n] = push
         return push
@@ -311,7 +316,8 @@ class BklEngine:
             self._repack(push)
 
     def table(self, kind: str) -> dict:
-        return {f: self.column(f, kind).entries for f in self.window.basis()}
+        self._check(None, kind)  # basis() yields in-window indices only
+        return {f: self._column(f, kind).entries for f in self.window.basis()}
 
 
 class _BoxEngine(BklEngine):
@@ -343,7 +349,7 @@ class _BoxEngine(BklEngine):
             whole = big._push_list(n)
         inbox, idx, k = self._inbox, self._idx, self.window.k
         lanes = self._lanes
-        pack_at = self._pack
+        packs, pack_at = self._packs, self._pack
         push: list = []
         it = iter(whole)
         for h, r, _ in zip(it, it, it):
@@ -351,8 +357,8 @@ class _BoxEngine(BklEngine):
             if ok is None:
                 ok = inbox[h] = _in_box(idx[h], k)
             if ok:
-                push += (h, r, pack_at(r))
-        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
+                push += (h, r, packs.get(id(r)) or pack_at(r))
+        if self._lanes != lanes:  # widened mid-build, so packs read so far are stale: re-pack all
             self._repack(push)
         self._pushes[n] = push
         return push

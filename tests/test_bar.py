@@ -404,9 +404,19 @@ def test_wedge_check_unitriangular_rejects_a_non_lower_entry():
 
 
 def test_wedge_bar_table_shares_its_values():
-    for win in (Window(SignedSeq.parse("01"), 2, ("V", 2)), Window(SignedSeq.parse("0"), 2, ("W", 2))):
-        values = [c for row in bar_table(win).rows.values() for c in row.values()]
+    # one object per distinct value and per distinct index tuple, across
+    # every row of the table: tensor rows are interned as they are built,
+    # wedge rows through BarContext.share
+    for win in (
+        Window(SignedSeq.parse("01"), 2, ("V", 2)),
+        Window(SignedSeq.parse("0"), 2, ("W", 2)),
+        Window(SignedSeq.parse("0101"), 2),
+    ):
+        rows = bar_table(win).rows.values()
+        values = [c for row in rows for c in row.values()]
         assert len({id(c) for c in values}) == len(set(values)) < len(values), win
+        keys = [g for row in rows for g in row]
+        assert len({id(g) for g in keys}) == len(set(keys)) < len(keys), win
 
 
 def nested_bracket(win, terms, i, j, up):
