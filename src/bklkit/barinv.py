@@ -25,10 +25,9 @@ recursion oracle.bar_row_rl uses it, on F actions with mirrored ends, as
 an independent witness of the tensor order.
 
 Every row a BarContext stores, and every wedge row stored on top of it,
-holds only the context's copies: the context keeps one Laurent object per
+holds the context's copies only (row() interns each key as it puts it in,
+share() does so for the root row and wedge rows): one Laurent object per
 distinct value and one tuple per index, for as long as the context lives.
-BarContext.row interns each key as it first puts it in and puts in stored
-values only; the root row and wedge rows go through BarContext.share.
 A large window stores millions of entries but only a few thousand distinct
 polynomials.  The sharing is safe because a Laurent is immutable and
 addmul never mutates its inputs.  The keys of the move to d end in d, so

@@ -164,13 +164,12 @@ class BklEngine:
 
     def _column(self, f: tuple, kind: str) -> BklColumn:
         """The memoized column of a checked f and kind."""
-        memo = (f, kind)
-        col = self._columns.get(memo)
+        col = self._columns.get((f, kind))
         if col is None:
             out = self._solve(f, kind)
             while out is None:  # the column outgrew the lanes, which are wider now
                 out = self._solve(f, kind)
-            col = self._columns[memo] = BklColumn(self.window, f, kind, out)
+            col = self._columns[f, kind] = BklColumn(self.window, f, kind, out)
         return col
 
     def _check(self, f: tuple | None, kind: str) -> None:
