@@ -156,26 +156,22 @@ class BklEngine:
 
     def column(self, f: tuple, kind: str) -> BklColumn:
         f = tuple(f)
-        hit = self._columns.get((f, kind))
-        if hit is None:
-            self._check(f, kind)
-            hit = self._column(f, kind)
-        return hit
-
-    def _column(self, f: tuple, kind: str) -> BklColumn:
-        """The memoized column of a checked f and kind."""
-        col = self._columns.get((f, kind))
-        if col is None:
+        memo = (f, kind)
+        hit = self._columns.get(memo)
+        if hit is not None:
+            return hit
+        self._check(f, kind)
+        out = self._solve(f, kind)
+        while out is None:  # the column outgrew the lanes, which are wider now
             out = self._solve(f, kind)
-            while out is None:  # the column outgrew the lanes, which are wider now
-                out = self._solve(f, kind)
-            col = self._columns[f, kind] = BklColumn(self.window, f, kind, out)
+        col = BklColumn(self.window, f, kind, out)
+        self._columns[memo] = col
         return col
 
-    def _check(self, f: tuple | None, kind: str) -> None:
+    def _check(self, f: tuple, kind: str) -> None:
         if kind not in (CANONICAL, DUAL):
             raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
-        if f is not None and not self.window.valid_index(f):
+        if not self.window.valid_index(f):
             raise ValueError(f"index {f} not in window {self.window}")
 
     def below(self) -> "BklEngine":
@@ -199,7 +195,7 @@ class BklEngine:
         row = ctx.take(f) if self.window.wedge is None else wedge_bar_row(self.window, ctx, f)
         if row.get(f) != ONE:
             raise TriangularityError(f"bar data at the diagonal f={f} is {row.get(f)!r}, not 1")
-        num, number, packs, pack_at = self._num, self._id, self._packs, self._pack
+        num, number, pack_at = self._num, self._id, self._pack
         top = ((n >> self._bits) + 1) << self._bits  # every id below has a key <= key(f)
         lanes = self._lanes
         push: list = []
@@ -211,8 +207,8 @@ class BklEngine:
                 if h == f:
                     continue
                 raise TriangularityError(f"bar data at g={h} is not below f={f}: r_gf={r!r}")
-            push += (m, r, packs.get(id(r)) or pack_at(r))
-        if self._lanes != lanes:  # widened mid-build, so packs read so far are stale: re-pack all
+            push += (m, r, pack_at(r))
+        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
             self._repack(push)
         self._pushes[n] = push
         return push
@@ -315,8 +311,7 @@ class BklEngine:
             self._repack(push)
 
     def table(self, kind: str) -> dict:
-        self._check(None, kind)  # basis() yields in-window indices only
-        return {f: self._column(f, kind).entries for f in self.window.basis()}
+        return {f: self.column(f, kind).entries for f in self.window.basis()}
 
 
 class _BoxEngine(BklEngine):
@@ -348,7 +343,7 @@ class _BoxEngine(BklEngine):
             whole = big._push_list(n)
         inbox, idx, k = self._inbox, self._idx, self.window.k
         lanes = self._lanes
-        packs, pack_at = self._packs, self._pack
+        pack_at = self._pack
         push: list = []
         it = iter(whole)
         for h, r, _ in zip(it, it, it):
@@ -356,8 +351,8 @@ class _BoxEngine(BklEngine):
             if ok is None:
                 ok = inbox[h] = _in_box(idx[h], k)
             if ok:
-                push += (h, r, packs.get(id(r)) or pack_at(r))
-        if self._lanes != lanes:  # widened mid-build, so packs read so far are stale: re-pack all
+                push += (h, r, pack_at(r))
+        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
             self._repack(push)
         self._pushes[n] = push
         return push

@@ -183,7 +183,7 @@ def cmd_bkl(args) -> int:
             wspec = None
         _check_window(flat, args.window)
 
-    payload = text = None
+    payload = None
     if not args.no_cache:
         key = cachemod.cache_key(
             "bkl-column",
@@ -212,12 +212,8 @@ def cmd_bkl(args) -> int:
         # keys, so the payload renders as it would after a json round trip
         payload = col.to_json()
         if not args.no_cache:
-            text = json.dumps(payload, sort_keys=True)
-            cachemod.store(root, key, text.encode())
-    # the stored text is what _render_column gives for json without --at-q1
-    if text is None or args.format != "json" or args.at_q1:
-        text = _render_column(payload, args.format, args.at_q1)
-    print(text)
+            cachemod.store(root, key, json.dumps(payload, sort_keys=True).encode())
+    print(_render_column(payload, args.format, args.at_q1))
     return 0
 
 
