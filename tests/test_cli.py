@@ -71,8 +71,6 @@ def test_bkl_cache_roundtrip(capsys, tmp_path):
     # byte-identical payload on disk vs in-memory encoding
     payload = json.loads(files[0].read_bytes())
     assert payload == json.loads(out1)
-    # a cold json call prints the very text it stores
-    assert out1 == files[0].read_text() + "\n"
 
 
 def test_bkl_cache_misses_after_an_engine_revision_bump(capsys, tmp_path, monkeypatch):
