@@ -4,8 +4,8 @@ windowed mixed Fock spaces, with a q=1 character layer for gl(m|n)."""
 from .combinat import SignedSeq, WedgeIndex
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
-from .fock import FockVector, Window
-from .scalars import Laurent, gauss_fact, gauss_int
+from .fock import Window
+from .scalars import Laurent
 
 __all__ = [
     "SignedSeq",
@@ -16,11 +16,8 @@ __all__ = [
     "wedge_bkl",
     "irreducible_character",
     "tilting_character",
-    "FockVector",
     "Window",
     "Laurent",
-    "gauss_int",
-    "gauss_fact",
 ]
 
 __version__ = "0.1.0"

@@ -27,9 +27,6 @@ class CharacterExpansion:
         self.window = window
         self.terms = terms  # mu (weight tuple in b coordinates) -> int multiplicity
 
-    def mult(self, mu: tuple) -> int:
-        return self.terms.get(tuple(mu), 0)
-
     def to_json(self) -> dict:
         return {
             "b": str(self.b),

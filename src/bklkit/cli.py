@@ -28,7 +28,9 @@ from types import SimpleNamespace
 from . import cache as cachemod
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
-from .combinat import SignedSeq, WedgeIndex, check_partition, parse_int, parse_weight, weight_to_f
+from .combinat import (
+    SignedSeq, WedgeIndex, check_partition, format_weight, parse_int, parse_weight, weight_to_f,
+)
 from .scalars import Laurent
 
 
@@ -144,6 +146,28 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
     return "\n".join(lines)
 
 
+def _served(data: bytes, head: dict) -> dict | None:
+    """The cached payload in data if it is head's column, else None (a miss).
+
+    Beside head's keys and values it holds just an int window and a list
+    column, whose items hold just a str g (and u, when head has one) and a
+    poly dict that Laurent.from_json reads.
+    """
+    items = {"g": str, "u": str, "poly": dict} if "u" in head else {"g": str, "poly": dict}
+    try:
+        payload = json.loads(data)
+        rest = {k: type(v) for k, v in payload.items() if k not in head}
+        if rest != {"window": int, "column": list} or any(payload[k] != head[k] for k in head):
+            return None
+        for item in payload["column"]:
+            if {k: type(v) for k, v in item.items()} != items:
+                return None
+            Laurent.from_json(item["poly"])
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None
+    return payload
+
+
 def cmd_bkl(args) -> int:
     with _parsing():
         b = _read("--seq", SignedSeq.parse, args.seq)
@@ -196,13 +220,10 @@ def cmd_bkl(args) -> int:
         root = cachemod.cache_dir(args.cache_dir)
         payload_bytes = cachemod.load(root, key)
         if payload_bytes is not None:
-            # an undecodable entry or one without a column is a miss
-            try:
-                payload = json.loads(payload_bytes)
-            except ValueError:
-                pass
-            if not isinstance(payload, dict) or "column" not in payload:
-                payload = None
+            want = {"b": str(b), "f": format_weight(flat[:len(b)]), "kind": kind}
+            if wspec:
+                want.update(wedge=f"{wspec['side']}:{wspec['kw']}", u=format_weight(flat[len(b):]))
+            payload = _served(payload_bytes, want)
     if payload is None:
         if wspec is None:
             col = bkl(b, flat, kind, k=args.window)

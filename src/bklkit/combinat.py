@@ -1,16 +1,13 @@
 """Index-level combinatorics.
 
 0^m1^n-sequences, integer weight functions and the Bruhat ordering attached
-to a sequence, Weyl vectors and the weight <-> index dictionaries, the slot
-swap of adjacent sequences, and the partition bookkeeping behind
-semi-infinite wedge tails.
+to a sequence, Weyl vectors and the weight <-> index dictionaries, and the
+partition bookkeeping behind semi-infinite wedge tails.
 
 Positions are 1-based in the public API, mirroring the indexing [m+n];
 weight functions are plain int tuples.
 """
 from __future__ import annotations
-
-from itertools import combinations
 
 Weight = tuple  # tuple[int, ...]
 
@@ -73,18 +70,6 @@ class SignedSeq(Frozen):
             return cls(())
         return cls(tuple(parse_int(ch) for ch in text))
 
-    @classmethod
-    def standard(cls, m: int, n: int) -> "SignedSeq":
-        return cls((0,) * m + (1,) * n)
-
-    @classmethod
-    def all_sequences(cls, m: int, n: int):
-        for ones in combinations(range(m + n), n):
-            bits = [0] * (m + n)
-            for i in ones:
-                bits[i] = 1
-            yield cls(tuple(bits))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -99,25 +84,9 @@ class SignedSeq(Frozen):
     def n(self) -> int:
         return sum(self.bits)
 
-    def is_standard(self) -> bool:
-        return self.bits == (0,) * self.m + (1,) * self.n
-
     def sign(self, i: int) -> int:
         """(-1)^{b_i}, 1-based position."""
         return -1 if self.bits[i - 1] else 1
-
-    def adjacent_positions(self):
-        """1-based kappa with (b_kappa, b_kappa+1) = (0, 1)."""
-        return [
-            i + 1
-            for i in range(len(self.bits) - 1)
-            if self.bits[i] == 0 and self.bits[i + 1] == 1
-        ]
-
-    def swap(self, kappa: int) -> "SignedSeq":
-        """The adjacent sequence obtained by swapping slots kappa, kappa+1."""
-        _check_adjacent(self, kappa)
-        return SignedSeq(swap_slots(self.bits, kappa))
 
     def extend(self, bit: int, count: int) -> "SignedSeq":
         return SignedSeq(self.bits + (bit,) * count)
@@ -259,24 +228,6 @@ def f_to_weight(b: SignedSeq, f: Weight) -> Weight:
     return tuple(
         f[i] * (-1 if b.bits[i] else 1) - rho[i] for i in range(len(b))
     )
-
-
-# ---------------------------------------------------------------------------
-# Adjacent sequences: the slot swap
-# ---------------------------------------------------------------------------
-
-
-def swap_slots(f: Weight, kappa: int) -> Weight:
-    """f with its slots kappa, kappa+1 exchanged."""
-    g = list(f)
-    g[kappa - 1], g[kappa] = g[kappa], g[kappa - 1]
-    return tuple(g)
-
-
-def _check_adjacent(b: SignedSeq, kappa: int):
-    """ValueError unless 1 <= kappa < len(b) and slots kappa, kappa+1 differ."""
-    if not (1 <= kappa < len(b)) or b.bits[kappa - 1] == b.bits[kappa]:
-        raise ValueError(f"sequence {b} has no mixed pair at position {kappa}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .combinat import Frozen, SignedSeq, wt_signature
-from .scalars import Laurent, ONE, addmul
+from .scalars import Laurent, addmul
 
 
 class Window(Frozen):
@@ -92,12 +92,6 @@ class FockVector:
     def __init__(self, window: Window, terms: dict):
         self.window = window
         self.terms = terms
-
-    @classmethod
-    def monomial(cls, window: Window, f: tuple, coeff: Laurent = ONE) -> "FockVector":
-        if not window.valid_index(f):
-            raise ValueError(f"index {f} not in window")
-        return cls(window, {tuple(f): coeff} if coeff else {})
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if other.window != self.window:

@@ -142,11 +142,12 @@ def kl_basis(m: int, w: tuple) -> HeckeElt:
                 s = s + r * th.bar()
         if not s:
             continue
-        if not s.is_antisymmetric():
+        # a solvable column demands bar(s) == -s; the answer is its q-positive part
+        if any(s.c.get(-e, 0) != -v for e, v in s.c.items()):
             raise AssertionError(f"inconsistent Hecke bar data at {u} below {w}")
-        val = s.pos_part()
+        val = {e: v for e, v in s.c.items() if e >= 1}
         if val:
-            solved[u] = val
+            solved[u] = Laurent(_raw=val)
     return HeckeElt(m, solved)
 
 
@@ -191,8 +192,7 @@ def rank2_forms(case: str, f: tuple, k: int) -> tuple:
     win = Window(b, k)
     a, c = f
     if a != c:
-        m = FockVector.monomial(win, (a, c))
-        return (m, FockVector.monomial(win, (a, c)))
+        return (FockVector(win, {(a, c): ONE}), FockVector(win, {(a, c): ONE}))
     step = -1 if case == "VW" else 1
     tterms = {f: ONE}
     if abs(a + step) <= k:
@@ -369,8 +369,7 @@ def wedge_embed(wwin: Window, idx: tuple) -> FockVector:
     ext = wwin.extended()
     mn = wwin.tensor_len
     rev = idx[:mn] + tuple(reversed(idx[mn:]))
-    v = FockVector.monomial(ext, rev)
-    return h0_apply(v, mn, kw)
+    return h0_apply(FockVector(ext, {rev: ONE}), mn, kw)
 
 
 def down_moves(b: SignedSeq, f: Weight) -> set:

@@ -1,6 +1,5 @@
 """Exact scalar arithmetic: integer Laurent polynomials in q, the sparse
-accumulate helper addmul, the packed-integer codec pack/unpack, and the
-Gauss integers [r] and [r]!.
+accumulate helper addmul and the packed-integer codec pack/unpack.
 
 addmul holds the only loop that adds Laurent coefficients exponent by
 exponent; Laurent + and * and the sparse sums over Laurent values call it.
@@ -13,16 +12,7 @@ past 64 bits without harm.
 """
 from __future__ import annotations
 
-from enum import Enum
 from operator import index
-
-
-class DegreeClass(Enum):
-    ZERO = "zero"
-    IN_qZq = "in qZ[q]"              # every exponent >= 1
-    IN_qinvZqinv = "in q^-1Z[q^-1]"  # every exponent <= -1
-    CONST_PLUS = "has constant term"
-    MIXED = "mixed"
 
 
 def _norm(c: dict) -> dict:
@@ -130,26 +120,6 @@ class Laurent:
         """The value at q = 1."""
         return sum(self.c.values())
 
-    def degree_class(self) -> DegreeClass:
-        if not self.c:
-            return DegreeClass.ZERO
-        lo, hi = min(self.c), max(self.c)
-        if lo >= 1:
-            return DegreeClass.IN_qZq
-        if hi <= -1:
-            return DegreeClass.IN_qinvZqinv
-        if 0 in self.c:
-            return DegreeClass.CONST_PLUS
-        return DegreeClass.MIXED
-
-    def pos_part(self) -> "Laurent":
-        """Terms with exponent >= 1."""
-        return Laurent(_raw={e: v for e, v in self.c.items() if e >= 1})
-
-    def is_antisymmetric(self) -> bool:
-        """True iff bar(p) == -p; what a solvable Lusztig column demands."""
-        return all(self.c.get(-e, 0) == -v for e, v in self.c.items())
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -230,19 +200,3 @@ def unpack(x: int, base: int, offset: int) -> Laurent:
         e += 1
     return Laurent(_raw=c)
 
-
-def gauss_int(r: int) -> Laurent:
-    """[r] = (q^r - q^-r)/(q - q^-1) = q^{r-1} + q^{r-3} + ... + q^{1-r}."""
-    if r < 0:
-        raise ValueError("gauss_int needs r >= 0")
-    return Laurent({r - 1 - 2 * s: 1 for s in range(r)})
-
-
-def gauss_fact(r: int) -> Laurent:
-    """[r]! = [1][2]...[r], with [0]! = 1."""
-    if r < 0:
-        raise ValueError("gauss_fact needs r >= 0")
-    out = ONE
-    for s in range(1, r + 1):
-        out = out * gauss_int(s)
-    return out

@@ -19,7 +19,7 @@ from bklkit.combinat import SignedSeq
 from bklkit.fock import FockVector, Window, _act_raw
 from bklkit.oracle import _nested, bar_row_rl, hecke_act, q_power
 from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, addmul
-from bklkit.verify import equivariance_defect
+from bklkit.verify import _sequences, equivariance_defect
 
 
 def tie_row(f, k, step):
@@ -79,7 +79,7 @@ def hecke_bar_row(bits, k, f):
                 word.append(j)
                 break
     word.reverse()
-    v = FockVector.monomial(w, base)
+    v = FockVector(w, {base: ONE})
     for i in word:
         v = hecke_act(v, i + 1) + v.scale(Z_QMQINV)
     return v.terms
@@ -317,24 +317,18 @@ def digest_windows():
     """Every tensor window with m+n <= 3 at k <= 3, every wedge window with
     m+n <= 2, kw <= 2 at k <= 2, then every kw = 3 wedge window with
     m+n <= 1 at k <= 2; keyed "b|k|side:kw"."""
-    for rank in range(1, 4):
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                for k in range(1, 4):
-                    yield f"{b}|{k}|", Window(b, k)
-    for rank in range(3):
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                for side in ("V", "W"):
-                    for kw in (1, 2):
-                        for k in (1, 2):
-                            yield f"{b}|{k}|{side}:{kw}", Window(b, k, (side, kw))
-    for rank in range(2):
-        for m in range(rank + 1):
-            for b in SignedSeq.all_sequences(m, rank - m):
-                for side in ("V", "W"):
-                    for k in (1, 2):
-                        yield f"{b}|{k}|{side}:3", Window(b, k, (side, 3))
+    for b in _sequences(3, 1):
+        for k in range(1, 4):
+            yield f"{b}|{k}|", Window(b, k)
+    for b in _sequences(2):
+        for side in ("V", "W"):
+            for kw in (1, 2):
+                for k in (1, 2):
+                    yield f"{b}|{k}|{side}:{kw}", Window(b, k, (side, kw))
+    for b in _sequences(1):
+        for side in ("V", "W"):
+            for k in (1, 2):
+                yield f"{b}|{k}|{side}:3", Window(b, k, (side, 3))
 
 
 def test_bar_tables_match_recorded_digests():

@@ -108,6 +108,52 @@ def test_bkl_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
         assert path.read_bytes() == good  # recomputed and rewritten
 
 
+def planted_entries(good: dict) -> list:
+    """Cached payloads that are not the column good is: corrupt, or stale."""
+    item = good["column"][0]
+    wedge = "u" in good
+    other = {**item, "u": "0"} if not wedge else {k: v for k, v in item.items() if k != "u"}
+    return [
+        {"column": 5},
+        {"column": [{"g": "1,0"}]},
+        [good], "column", 5, None,
+        {k: v for k, v in good.items() if k != "window"},
+        {**good, "b": good["b"][::-1] + "1"},
+        {**good, "f": "9" + good["f"]},
+        {**good, "kind": "dual" if good["kind"] == "canonical" else "canonical"},
+        {**good, "window": "5"},
+        {**good, "column": {"g": item["g"]}},
+        {**good, "column": ["1,0"]},
+        {**good, "column": [{**item, "g": 1}]},
+        {**good, "column": [{**item, "poly": [1]}]},
+        {**good, "column": [{**item, "poly": {"0": 1.5}}]},
+        {**good, "column": [{**item, "poly": {"x": 1}}]},
+        {**good, "column": [{**item, "extra": 1}]},
+        {**good, "column": [other]},
+        {**good, "u": "0"} if not wedge else {k: v for k, v in good.items() if k != "u"},
+    ]
+
+
+@pytest.mark.parametrize("call", ["bkl --seq 01 --f=1,0", "bkl --seq 0 --f=0/1 --wedge V:1"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "tex"])
+def test_bkl_cache_serves_only_the_column_of_the_call(capsys, tmp_path, monkeypatch, call, fmt):
+    args = (*call.split(), "--format", fmt)
+    code, want, _ = run(capsys, *args, "--no-cache")
+    assert code == 0
+    cached = (*args, "--cache-dir", str(tmp_path))
+    assert run(capsys, *cached) == (0, want, "")
+    (path,) = tmp_path.rglob("*.json")
+    good = path.read_bytes()
+    for bad in planted_entries(json.loads(good)):
+        path.write_text(json.dumps(bad))
+        assert run(capsys, *cached) == (0, want, ""), bad
+        assert path.read_bytes() == good, bad  # recomputed and rewritten
+    # the entry the call wrote is served, with nothing recomputed
+    monkeypatch.setattr(cli, "bkl", None)
+    monkeypatch.setattr(cli, "wedge_bkl", None)
+    assert run(capsys, *cached) == (0, want, "")
+
+
 def test_bkl_no_cache(capsys, tmp_path):
     code, _, _ = run(
         capsys, "bkl", "--seq", "01", "--f", "1,1", "--no-cache",
@@ -312,9 +358,10 @@ def test_cli_import_loads_only_what_bkl_and_char_run():
 def test_cli_modules_define_only_what_they_run():
     # every top-level def and class of a module that `import bklkit.cli`
     # loads is referenced from those modules outside its own body, is
-    # exported by the package, or heads a bench hook target; a witness
-    # that only verify, the oracle or a test calls belongs in verify or
-    # oracle, which bkl and char do not load
+    # exported by the package, or heads a bench hook target, and so is
+    # every non-dunder method, unless it is a hook target itself; a
+    # witness that only verify, the oracle or a test calls belongs in
+    # verify or oracle, which bkl and char do not load
     code = (
         "import json, sys; import bklkit.cli; print(json.dumps({name: mod.__file__ "
         "for name, mod in sys.modules.items() if name.split('.')[0] == 'bklkit'}))"
@@ -330,24 +377,47 @@ def test_cli_modules_define_only_what_they_run():
         import tracing
     finally:
         sys.path.remove(str(bench))
-    kept = {(module, path.split(".")[0]) for module, path, _ in tracing.SPAN_HOOKS.values()}
+    hooked = {(module, path) for module, path, _ in tracing.SPAN_HOOKS.values()}
+    kept = {(module, path.split(".")[0]) for module, path in hooked}
     refs: dict = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 refs.setdefault(name, []).append(id(node))
-    unused = []
+
+    def unused(node) -> bool:
+        inside = {id(n) for n in ast.walk(node)}
+        return all(ref in inside for ref in refs.get(node.name, ()))
+
+    found = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if (module, node.name) in kept or node.name in bklkit.__all__:
+            if (module, node.name) not in kept and node.name not in bklkit.__all__ and unused(node):
+                found.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
                 continue
-            inside = {id(n) for n in ast.walk(node)}
-            if all(ref in inside for ref in refs.get(node.name, ())):
-                unused.append(f"{module}.{node.name}")
-    assert unused == []
+            for method in (n for n in node.body if isinstance(n, ast.FunctionDef)):
+                path = f"{node.name}.{method.name}"
+                dunder = method.name.startswith("__") and method.name.endswith("__")
+                if not dunder and (module, path) not in hooked and unused(method):
+                    found.append(f"{module}.{path}")
+    assert found == []
+
+
+def test_package_exports_what_users_call():
+    # no name that only the oracle or tests use: they take FockVector
+    # from bklkit.fock
+    assert bklkit.__all__ == [
+        "SignedSeq", "WedgeIndex", "CANONICAL", "DUAL", "bkl", "wedge_bkl",
+        "irreducible_character", "tilting_character", "Window", "Laurent",
+    ]
+    assert all(hasattr(bklkit, name) for name in bklkit.__all__)
+    from bklkit.fock import FockVector
+
+    assert FockVector.__module__ == "bklkit.fock"
 
 
 def test_verify_imports_its_suites_when_it_runs():

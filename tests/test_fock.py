@@ -18,7 +18,7 @@ from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV
 
 
 def mono(win, f, c=ONE):
-    return FockVector.monomial(win, f, c)
+    return FockVector(win, {tuple(f): c})
 
 
 def test_single_factor_actions():

@@ -6,7 +6,6 @@ from bklkit.barinv import BarContext
 from bklkit.combinat import SignedSeq
 from bklkit.fock import Window
 from bklkit.scalars import (
-    DegreeClass,
     Laurent,
     ONE,
     Q,
@@ -14,8 +13,6 @@ from bklkit.scalars import (
     ZERO,
     Z_QMQINV,
     addmul,
-    gauss_fact,
-    gauss_int,
     pack,
     unpack,
 )
@@ -63,7 +60,7 @@ def test_add_examples():
 def test_mul_examples():
     assert Q * QINV == ONE
     assert Z_QMQINV * (Q + QINV) == Laurent({2: 1, -2: -1})
-    two = gauss_int(2)
+    two = Q + QINV
     assert two * two == Laurent({2: 1, 0: 2, -2: 1})
 
 
@@ -185,45 +182,9 @@ def test_packed_products_and_sums_decode_exactly(x, y, z):
     assert (packed == 0) == (not x * y + z)
 
 
-def test_gauss():
-    assert gauss_int(0) == ZERO
-    assert gauss_int(1) == ONE
-    assert gauss_int(2) == Q + QINV
-    assert gauss_fact(0) == ONE
-    # [3]! expanded through the ring operations
-    assert gauss_fact(3) == (Q + QINV) * Laurent({2: 1, 0: 1, -2: 1})
-
-
-def test_gauss_fact_divides_product():
-    # prod_{s<=r} (q^s - q^-s) = [r]! (q - q^-1)^r
-    for r in range(0, 6):
-        num = ONE
-        for s in range(1, r + 1):
-            num = num * Laurent({s: 1, -s: -1})
-        den = gauss_fact(r)
-        for _ in range(r):
-            den = den * Z_QMQINV
-        assert num == den
-
-
-def test_degree_class():
-    assert Laurent({1: 1, 3: 1}).degree_class() is DegreeClass.IN_qZq
-    assert Laurent({-1: -1}).degree_class() is DegreeClass.IN_qinvZqinv
-    assert Laurent({0: 1, 1: 1}).degree_class() is DegreeClass.CONST_PLUS
-    assert ZERO.degree_class() is DegreeClass.ZERO
-    assert Z_QMQINV.degree_class() is DegreeClass.MIXED
-
-
 def test_evaluation():
     p = Laurent({2: 3, 0: -1, -1: 4})
     assert p.ev() == 6
-
-
-def test_pos_neg_parts():
-    s = Laurent({2: 5, 0: 1, -2: -5})
-    assert s.pos_part() == Laurent({2: 5})
-    assert Laurent({2: 5, -2: -5}).is_antisymmetric()
-    assert not s.is_antisymmetric()
 
 
 def test_json_roundtrip():

@@ -5,14 +5,25 @@ import time
 import pytest
 
 from bklkit.barinv import BarContext
-from bklkit.canonical import CANONICAL, BklEngine, engine
+from bklkit.canonical import CANONICAL, DUAL, BklEngine, engine
 from bklkit.cli import main
-from bklkit.scalars import Laurent
-from bklkit.verify import run_suite, suite_triangularity
+from bklkit.scalars import Laurent, ZERO, Z_QMQINV
+from bklkit.verify import _in_degrees, run_suite, suite_triangularity
 
 # sha256 of the stdout of `bklkit verify --suite all` (max rank 2, window 3):
 # every check's PASS line, name and detail, in run order
 ALL_SUITE_SHA256 = "d9624107668d18d943df56d343e4cdbac8d9db5dd7ef0e95cc95985389eb73ba"
+
+
+def test_in_degrees():
+    # canonical entries lie in qZ[q], dual ones in q^-1Z[q^-1]; a constant
+    # term, a mixed sign of exponents or zero is in neither
+    assert _in_degrees(Laurent({1: 1, 3: 1}), CANONICAL)
+    assert _in_degrees(Laurent({-1: -1}), DUAL)
+    for c in (Laurent({0: 1, 1: 1}), ZERO, Z_QMQINV):
+        assert not _in_degrees(c, CANONICAL) and not _in_degrees(c, DUAL)
+    assert not _in_degrees(Laurent({1: 1, 3: 1}), DUAL)
+    assert not _in_degrees(Laurent({-1: -1}), CANONICAL)
 
 
 def test_unknown_suite():

@@ -24,8 +24,9 @@ environment (PYTHONDONTWRITEBYTECODE included, which decides whether src/
 is compiled at every start).  Prints one JSON object: per command and
 per in-process sample, each side's samples, median and quartiles, and the
 pairs the new checkout won; per checkout the bklkit modules that `import
-bklkit.cli` loads, and whether it loads dataclasses or inspect; nproc and
-the Python version.
+bklkit.cli` loads, the line count of each and their total (what `wc -l`
+prints for those files), and whether it loads dataclasses or inspect;
+nproc and the Python version.
 
     python tools/startup_probe.py --old ../parent --new . --pairs 15
 """
@@ -72,12 +73,16 @@ for _ in range(5):
 print(statistics.median(passes))
 """,
 }
-LOADED = (
-    "import json, sys; before = set(sys.modules); import bklkit.cli; "
-    "new = set(sys.modules) - before; "
-    "print(json.dumps({'bklkit': sorted(m for m in new if m.startswith('bklkit')), "
-    "'dataclasses': 'dataclasses' in new, 'inspect': 'inspect' in new}))"
-)
+LOADED = """
+import json, sys
+before = set(sys.modules)
+import bklkit.cli
+new = set(sys.modules) - before
+lines = {name: open(sys.modules[name].__file__, "rb").read().count(b"\\n")
+         for name in sorted(new) if name.split(".")[0] == "bklkit"}
+print(json.dumps({"bklkit": list(lines), "lines": lines, "total_lines": sum(lines.values()),
+                  "dataclasses": "dataclasses" in new, "inspect": "inspect" in new}))
+"""
 
 
 def run(checkout: Path, args: list) -> subprocess.CompletedProcess:
