@@ -22,29 +22,20 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 from . import cache as cachemod
-from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
+from .canonical import CANONICAL, DUAL, BklColumn, auto_level, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
 from .combinat import (
-    SignedSeq, WedgeIndex, check_partition, format_weight, parse_int, parse_weight, weight_to_f,
+    SignedSeq, WedgeIndex, check_partition, parse_int, parse_weight, weight_to_f,
 )
+from .fock import Window
 from .scalars import Laurent
 
 
 class UsageError(Exception):
     pass
-
-
-@contextmanager
-def _parsing():
-    """Input rejected by a parser or a constructor is a usage error."""
-    try:
-        yield
-    except (ValueError, KeyError) as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _read(flag: str, parse, text: str):
@@ -146,66 +137,60 @@ def _render_column(payload: dict, fmt: str, at_q1: bool) -> str:
     return "\n".join(lines)
 
 
-def _served(data: bytes, head: dict) -> dict | None:
-    """The cached payload in data if it is head's column, else None (a miss).
+def _served(data: bytes, window: Window, f: tuple, kind: str) -> dict | None:
+    """The cached payload in data if it is the column of f over window, else None (a miss).
 
-    Beside head's keys and values it holds just an int window and a list
-    column, whose items hold just a str g (and u, when head has one) and a
-    poly dict that Laurent.from_json reads.
+    The payload is decoded into a column and served only if every index
+    lies in the window and the column's to_json, encoded as it is stored,
+    gives back data byte for byte.
     """
-    items = {"g": str, "u": str, "poly": dict} if "u" in head else {"g": str, "poly": dict}
     try:
         payload = json.loads(data)
-        rest = {k: type(v) for k, v in payload.items() if k not in head}
-        if rest != {"window": int, "column": list} or any(payload[k] != head[k] for k in head):
-            return None
+        entries = {}
         for item in payload["column"]:
-            if {k: type(v) for k, v in item.items()} != items:
-                return None
-            Laurent.from_json(item["poly"])
-    except (ValueError, TypeError, KeyError, AttributeError):
+            g = parse_weight(item["g"]) + parse_weight(item.get("u", ""))
+            entries[g] = Laurent.from_json(item["poly"])
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
-    return payload
+    if not all(map(window.valid_index, entries)):
+        return None
+    col = BklColumn(window, f, kind, entries).to_json()
+    return payload if json.dumps(col, sort_keys=True).encode() == data else None
 
 
 def cmd_bkl(args) -> int:
-    with _parsing():
-        b = _read("--seq", SignedSeq.parse, args.seq)
-        kind = {"canonical": CANONICAL, "dual": DUAL}[args.kind]
-        wedge = _read("--wedge", _parse_wedge, args.wedge) if args.wedge else None
-        if wedge and wedge[0] == "partition":
-            _, side, lam = wedge
-            head = _read("--f", parse_weight, args.f)
-            if len(head) != len(b):
-                raise UsageError(f"--f needs {len(b)} tensor entries")
-            idx = WedgeIndex(head, side, lam)
-            kw = max(len(lam), 1)
-            flat = idx.flat(kw)
-            wspec = {"side": side, "kw": kw, "partition": list(lam)}
-        elif wedge:
-            _, side, kw = wedge
-            if "/" in args.f:
-                head_s, tail_s = args.f.split("/", 1)
-            else:
-                head_s, tail_s = args.f, ""
-            head, tail = _read("--f", parse_weight, head_s), _read("--f", parse_weight, tail_s)
-            if len(head) != len(b) or len(tail) != kw:
-                raise UsageError(
-                    f"--f must be '<{len(b)} tensor entries>/<{kw} tail entries>'"
-                )
-            if any((x <= y) if side == "V" else (x >= y) for x, y in zip(tail, tail[1:])):
-                order = "decreasing" if side == "V" else "increasing"
-                raise UsageError(
-                    f"{side} tail {','.join(map(str, tail))} is not strictly {order}"
-                )
-            flat = head + tail
-            wspec = {"side": side, "kw": kw}
+    b = _read("--seq", SignedSeq.parse, args.seq)
+    kind = {"canonical": CANONICAL, "dual": DUAL}[args.kind]
+    wedge = _read("--wedge", _parse_wedge, args.wedge) if args.wedge else None
+    if wedge and wedge[0] == "partition":
+        _, side, lam = wedge
+        head = _read("--f", parse_weight, args.f)
+        if len(head) != len(b):
+            raise UsageError(f"--f needs {len(b)} tensor entries")
+        idx = WedgeIndex(head, side, lam)
+        kw = max(len(lam), 1)
+        flat = idx.flat(kw)
+        wspec = {"side": side, "kw": kw, "partition": list(lam)}
+    elif wedge:
+        _, side, kw = wedge
+        if "/" in args.f:
+            head_s, tail_s = args.f.split("/", 1)
         else:
-            flat = _read("--f", parse_weight, args.f)
-            if len(flat) != len(b):
-                raise UsageError(f"--f needs {len(b)} entries for sequence {b}")
-            wspec = None
-        _check_window(flat, args.window)
+            head_s, tail_s = args.f, ""
+        head, tail = _read("--f", parse_weight, head_s), _read("--f", parse_weight, tail_s)
+        if len(head) != len(b) or len(tail) != kw:
+            raise UsageError(f"--f must be '<{len(b)} tensor entries>/<{kw} tail entries>'")
+        if any((x <= y) if side == "V" else (x >= y) for x, y in zip(tail, tail[1:])):
+            order = "decreasing" if side == "V" else "increasing"
+            raise UsageError(f"{side} tail {','.join(map(str, tail))} is not strictly {order}")
+        flat = head + tail
+        wspec = {"side": side, "kw": kw}
+    else:
+        flat = _read("--f", parse_weight, args.f)
+        if len(flat) != len(b):
+            raise UsageError(f"--f needs {len(b)} entries for sequence {b}")
+        wspec = None
+    _check_window(flat, args.window)
 
     payload = None
     if not args.no_cache:
@@ -220,10 +205,11 @@ def cmd_bkl(args) -> int:
         root = cachemod.cache_dir(args.cache_dir)
         payload_bytes = cachemod.load(root, key)
         if payload_bytes is not None:
-            want = {"b": str(b), "f": format_weight(flat[:len(b)]), "kind": kind}
-            if wspec:
-                want.update(wedge=f"{wspec['side']}:{wspec['kw']}", u=format_weight(flat[len(b):]))
-            payload = _served(payload_bytes, want)
+            # the window that bkl or wedge_bkl below solves over
+            kw = wspec["kw"] if wspec else 0
+            k = args.window if args.window is not None else auto_level(b, flat, kw)
+            window = Window(b, k, (wspec["side"], kw) if wspec else None)
+            payload = _served(payload_bytes, window, flat, kind)
     if payload is None:
         if wspec is None:
             col = bkl(b, flat, kind, k=args.window)
@@ -239,12 +225,11 @@ def cmd_bkl(args) -> int:
 
 
 def cmd_char(args) -> int:
-    with _parsing():
-        b = _read("--seq", SignedSeq.parse, args.seq)
-        lam = _read("--lambda", parse_weight, getattr(args, "lambda"))
-        if len(lam) != len(b):
-            raise UsageError(f"--lambda needs {len(b)} entries for sequence {b}")
-        _check_window(weight_to_f(b, lam), args.window)
+    b = _read("--seq", SignedSeq.parse, args.seq)
+    lam = _read("--lambda", parse_weight, getattr(args, "lambda"))
+    if len(lam) != len(b):
+        raise UsageError(f"--lambda needs {len(b)} entries for sequence {b}")
+    _check_window(weight_to_f(b, lam), args.window)
     fn = irreducible_character if args.kind == "irr" else tilting_character
     exp = fn(b, lam, k=args.window)
     payload = exp.to_json()

@@ -76,14 +76,6 @@ class SignedSeq(Frozen):
     def __len__(self) -> int:
         return len(self.bits)
 
-    @property
-    def m(self) -> int:
-        return len(self.bits) - sum(self.bits)
-
-    @property
-    def n(self) -> int:
-        return sum(self.bits)
-
     def sign(self, i: int) -> int:
         """(-1)^{b_i}, 1-based position."""
         return -1 if self.bits[i - 1] else 1

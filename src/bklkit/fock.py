@@ -3,7 +3,8 @@
 A window holds the finite basis of a truncated mixed tensor space: entries
 of the tensor part bounded by k, optionally followed by a finite q-wedge
 tail (strictly decreasing for the V side, strictly increasing for the W
-side).  Vectors are sparse maps from basis indices to Laurent scalars.
+side).  A vector is a term dict {basis index: Laurent}, and every function
+here that acts on one returns a new term dict.
 
 Chevalley generators act positionwise through the comultiplication
 Delta(E_a) = 1 (x) E_a + E_a (x) K_{a+1,a} and
@@ -72,7 +73,7 @@ class Window(Frozen):
             tuple(sorted(c, reverse=(side == "V")))
             for c in combinations(rng, kw)
         ]
-        for h in product(rng, repeat=self.tensor_len):
+        for h in heads:
             for t in tails:
                 yield h + t
 
@@ -84,40 +85,6 @@ def _weight_classes(window: Window) -> dict:
     for f in window.basis():
         out.setdefault(wt_signature(b, f), []).append(f)
     return out
-
-
-class FockVector:
-    __slots__ = ("window", "terms")
-
-    def __init__(self, window: Window, terms: dict):
-        self.window = window
-        self.terms = terms
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if other.window != self.window:
-            raise ValueError("window mismatch")
-        terms = dict(self.terms)
-        for f, c in other.terms.items():
-            addmul(terms, f, c)
-        return FockVector(self.window, terms)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(Laurent(-1))
-
-    def scale(self, c: Laurent) -> "FockVector":
-        if not c:
-            return FockVector(self.window, {})
-        return FockVector(self.window, {f: v * c for f, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FockVector)
-            and self.window == other.window
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +179,15 @@ def _perms_by_length(kw: int):
     return perms
 
 
-def h0_apply(v: FockVector, block_start: int, kw: int) -> FockVector:
+def h0_apply(window: Window, terms: dict, block_start: int, kw: int) -> dict:
     """Right multiplication by H_0 = sum (-q)^{l(s)-l(w0)} H_s on a block."""
-    w = v.window
-    if w.wedge is not None:
+    if window.wedge is not None:
         raise ValueError("h0_apply expects a tensor window")
-    bits = w.b.bits
+    bits = window.b.bits
     if kw <= 1:
-        return v
+        return dict(terms)
     perms = _perms_by_length(kw)
-    vecs: dict = {tuple(range(kw)): dict(v.terms)}
+    vecs: dict = {tuple(range(kw)): terms}
     total: dict = {}
     lw0 = kw * (kw - 1) // 2
     for p, (l, parent, letter) in sorted(perms.items(), key=lambda kv: kv[1][0]):
@@ -230,14 +196,14 @@ def h0_apply(v: FockVector, block_start: int, kw: int) -> FockVector:
         sign = Laurent(_raw={l - lw0: (-1) ** ((l - lw0) % 2)})
         for f, c in vecs[p].items():
             addmul(total, f, c, sign)
-    return FockVector(w, total)
+    return total
 
 
-def wedge_project(v: FockVector, wwin: Window) -> FockVector:
+def wedge_project(terms: dict, wwin: Window) -> dict:
     """Inverse of oracle.wedge_embed on its image: extract sorted-tail coefficients."""
     if wwin.wedge is None:
         raise ValueError("window has no wedge part")
-    return FockVector(wwin, {f: c for f, c in v.terms.items() if wwin.valid_index(f)})
+    return {f: c for f, c in terms.items() if wwin.valid_index(f)}
 
 
 def wedge_gather(terms: dict, mn: int, side: str, kw: int) -> dict:

@@ -17,7 +17,7 @@ from itertools import permutations
 
 from .barinv import BarContext
 from .combinat import SignedSeq, Weight, bruhat_leq, wt_signature
-from .fock import FockVector, Window, _act_raw, _hecke_raw, _weight_classes, h0_apply
+from .fock import Window, _act_raw, _hecke_raw, _weight_classes, h0_apply
 from .scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul
 
 
@@ -181,18 +181,18 @@ def schur_jimbo_match(m: int, base: tuple, k: int) -> bool:
 
 
 def rank2_forms(case: str, f: tuple, k: int) -> tuple:
-    """(T_f, L_f) for the mixed rank-2 Fock space, window-truncated.
+    """(T_f, L_f) as term dicts for the mixed rank-2 Fock space, truncated at level k.
 
     case "VW" is the (0,1) sequence (ties expand downward), "WV" the
     (1,0) one (ties expand upward).
     """
     if case not in ("VW", "WV"):
         raise ValueError("case must be VW or WV")
-    b = SignedSeq((0, 1) if case == "VW" else (1, 0))
-    win = Window(b, k)
+    if k <= 0:
+        raise ValueError("window level k must be positive")
     a, c = f
     if a != c:
-        return (FockVector(win, {(a, c): ONE}), FockVector(win, {(a, c): ONE}))
+        return ({(a, c): ONE}, {(a, c): ONE})
     step = -1 if case == "VW" else 1
     tterms = {f: ONE}
     if abs(a + step) <= k:
@@ -203,7 +203,7 @@ def rank2_forms(case: str, f: tuple, k: int) -> tuple:
         d = a + step * t
         lterms[(d, d)] = q_power(-t) * ((-1) ** (t % 2))
         t += 1
-    return (FockVector(win, tterms), FockVector(win, lterms))
+    return (tterms, lterms)
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +335,19 @@ def brute_bar_uniqueness(window: Window) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def apply_gen(v: FockVector, kind: str, a: int) -> FockVector:
-    """Apply E_a, F_a, K_a or K_a^{-1} to a vector of a tensor window."""
-    if kind not in ("E", "F", "K", "Kinv"):
-        raise ValueError(f"unknown generator kind {kind}")
-    return FockVector(v.window, _act_raw(v.window, v.terms, kind, a))
-
-
-def hecke_act(v: FockVector, i: int) -> FockVector:
+def hecke_act(window: Window, terms: dict, i: int) -> dict:
     """Right action of H_i (1-based) on a pure tensor window."""
-    w = v.window
-    if w.wedge is not None:
+    if window.wedge is not None:
         raise ValueError("Hecke action needs a pure tensor window")
-    bits = w.b.bits
+    bits = window.b.bits
     if len(set(bits)) > 1:
         raise ValueError("Hecke action is defined on pure V or pure W windows")
     if not (1 <= i <= len(bits) - 1):
         raise ValueError("Hecke index out of range")
-    return FockVector(w, _hecke_raw(bits, v.terms, i - 1))
+    return _hecke_raw(bits, terms, i - 1)
 
 
-def wedge_embed(wwin: Window, idx: tuple) -> FockVector:
+def wedge_embed(wwin: Window, idx: tuple) -> dict:
     """Embed a wedge basis vector into the extended tensor window.
 
     The wedge vector indexed by a sorted tail h goes to M_{h.w0} H_0 on the
@@ -369,7 +361,7 @@ def wedge_embed(wwin: Window, idx: tuple) -> FockVector:
     ext = wwin.extended()
     mn = wwin.tensor_len
     rev = idx[:mn] + tuple(reversed(idx[mn:]))
-    return h0_apply(FockVector(ext, {rev: ONE}), mn, kw)
+    return h0_apply(ext, {rev: ONE}, mn, kw)
 
 
 def down_moves(b: SignedSeq, f: Weight) -> set:

@@ -16,7 +16,7 @@ from bklkit.barinv import (
     wedge_bar_row,
 )
 from bklkit.combinat import SignedSeq
-from bklkit.fock import FockVector, Window, _act_raw
+from bklkit.fock import Window, _act_raw
 from bklkit.oracle import _nested, bar_row_rl, hecke_act, q_power
 from bklkit.scalars import Laurent, ONE, Q, ZERO, Z_QMQINV, addmul
 from bklkit.verify import _sequences, equivariance_defect
@@ -79,10 +79,14 @@ def hecke_bar_row(bits, k, f):
                 word.append(j)
                 break
     word.reverse()
-    v = FockVector(w, {base: ONE})
+    v = {base: ONE}
     for i in word:
-        v = hecke_act(v, i + 1) + v.scale(Z_QMQINV)
-    return v.terms
+        # v H_i^-1 = v H_i + (q - q^-1) v
+        nxt = hecke_act(w, v, i + 1)
+        for g, c in v.items():
+            addmul(nxt, g, c, Z_QMQINV)
+        v = nxt
+    return v
 
 
 def test_pure_blocks_match_hecke_oracle():

@@ -100,7 +100,7 @@ def test_bkl_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
     code1, out1, _ = run(capsys, *args)
     (path,) = tmp_path.rglob("*.json")
     good = path.read_bytes()
-    for bad in (good[: len(good) // 2], b"\xff\xfe", b'{"kind": "dual"}'):
+    for bad in (good[: len(good) // 2], b"\xff\xfe", b'{"kind": "dual"}', b"[" * 100_000):
         path.write_bytes(bad)
         code2, out2, err2 = run(capsys, *args)
         assert (code1, code2) == (0, 0), err2
@@ -109,11 +109,16 @@ def test_bkl_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
 
 
 def planted_entries(good: dict) -> list:
-    """Cached payloads that are not the column good is: corrupt, or stale."""
-    item = good["column"][0]
+    """Cached payloads that are not the column good is: corrupt, stale, or
+    one that decodes to good's column but is not what a cold call prints.
+    """
+    item, *rest = good["column"]
     wedge = "u" in good
-    other = {**item, "u": "0"} if not wedge else {k: v for k, v in item.items() if k != "u"}
-    return [
+    other = {k: v for k, v in item.items() if k != "u"} if wedge else {**item, "u": "0"}
+    diag = [{**it, "poly": {"0": True}} if it["g"] == good["f"] and it.get("u") == good.get("u")
+            else it for it in good["column"]]
+    padded = {f"{int(e):03d}": v for e, v in item["poly"].items()}  # "-06" for "-6"
+    bad = [
         {"column": 5},
         {"column": [{"g": "1,0"}]},
         [good], "column", 5, None,
@@ -131,10 +136,24 @@ def planted_entries(good: dict) -> list:
         {**good, "column": [{**item, "extra": 1}]},
         {**good, "column": [other]},
         {**good, "u": "0"} if not wedge else {k: v for k, v in good.items() if k != "u"},
+        {**good, "column": [{**item, "poly": {**item["poly"], "7": 0}}, *rest]},
+        {**good, "column": [{**item, "poly": padded}, *rest]},
+        {**good, "column": diag},
+        {**good, "window": 99},
+        {**good, "column": good["column"][::-1]},
+        {**good, "column": [{**item, "g": item["g"].replace(",", ", ")}, *rest]},
+        # indices the window does not hold, each in its place in sorted order
+        {**good, "column": [{**item, "g": item["g"].split(",")[0]}, *rest]},
+        {**good, "column": [*good["column"], {**item, "g": ",".join(["99"] * len(good["b"]))}]},
     ]
+    # a reversed one-item column, or a one-slot g cut or spaced, is good itself
+    return [entry for entry in bad if json.dumps(entry) != json.dumps(good)]
 
 
-@pytest.mark.parametrize("call", ["bkl --seq 01 --f=1,0", "bkl --seq 0 --f=0/1 --wedge V:1"])
+@pytest.mark.parametrize("call", [
+    "bkl --seq 01 --f=1,0", "bkl --seq 0 --f=0/1 --wedge V:1",
+    "bkl --seq 01 --f=1,1 --kind dual", "bkl --seq 01 --f=1,1/0 --wedge W:1",
+])
 @pytest.mark.parametrize("fmt", ["json", "csv", "tex"])
 def test_bkl_cache_serves_only_the_column_of_the_call(capsys, tmp_path, monkeypatch, call, fmt):
     args = (*call.split(), "--format", fmt)
@@ -359,9 +378,11 @@ def test_cli_modules_define_only_what_they_run():
     # every top-level def and class of a module that `import bklkit.cli`
     # loads is referenced from those modules outside its own body, is
     # exported by the package, or heads a bench hook target, and so is
-    # every non-dunder method, unless it is a hook target itself; a
-    # witness that only verify, the oracle or a test calls belongs in
-    # verify or oracle, which bkl and char do not load
+    # every non-dunder method, unless it is a hook target itself; a method
+    # counts as referenced only through an attribute (x.name), so a local
+    # variable that shares its name does not keep it; a witness that only
+    # verify, the oracle or a test calls belongs in verify or oracle, which
+    # bkl and char do not load
     code = (
         "import json, sys; import bklkit.cli; print(json.dumps({name: mod.__file__ "
         "for name, mod in sys.modules.items() if name.split('.')[0] == 'bklkit'}))"
@@ -379,14 +400,17 @@ def test_cli_modules_define_only_what_they_run():
         sys.path.remove(str(bench))
     hooked = {(module, path) for module, path, _ in tracing.SPAN_HOOKS.values()}
     kept = {(module, path.split(".")[0]) for module, path in hooked}
-    refs: dict = {}
+    refs: dict = {}  # name -> the ids of the Name and Attribute nodes that carry it
+    attrs: dict = {}  # name -> the ids of the Attribute nodes alone
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                refs.setdefault(name, []).append(id(node))
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(id(node))
+                attrs.setdefault(node.attr, []).append(id(node))
 
-    def unused(node) -> bool:
+    def unused(node, refs=refs) -> bool:
         inside = {id(n) for n in ast.walk(node)}
         return all(ref in inside for ref in refs.get(node.name, ()))
 
@@ -402,22 +426,18 @@ def test_cli_modules_define_only_what_they_run():
             for method in (n for n in node.body if isinstance(n, ast.FunctionDef)):
                 path = f"{node.name}.{method.name}"
                 dunder = method.name.startswith("__") and method.name.endswith("__")
-                if not dunder and (module, path) not in hooked and unused(method):
+                if not dunder and (module, path) not in hooked and unused(method, attrs):
                     found.append(f"{module}.{path}")
     assert found == []
 
 
 def test_package_exports_what_users_call():
-    # no name that only the oracle or tests use: they take FockVector
-    # from bklkit.fock
+    # no name that only the oracle or tests use
     assert bklkit.__all__ == [
         "SignedSeq", "WedgeIndex", "CANONICAL", "DUAL", "bkl", "wedge_bkl",
         "irreducible_character", "tilting_character", "Window", "Laurent",
     ]
     assert all(hasattr(bklkit, name) for name in bklkit.__all__)
-    from bklkit.fock import FockVector
-
-    assert FockVector.__module__ == "bklkit.fock"
 
 
 def test_verify_imports_its_suites_when_it_runs():

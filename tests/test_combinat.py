@@ -334,11 +334,11 @@ def test_typical_antidominant():
 
 def test_signed_seq_utilities():
     b = SignedSeq.parse("0101")
-    assert (b.m, b.n) == (2, 2)
+    assert (b.bits.count(0), b.bits.count(1)) == (2, 2)
     assert adjacent_positions(b) == [1, 3]
     assert swap(b, 1) == SignedSeq.parse("1001")
     assert str(SignedSeq.parse("")) == ""
-    assert [str(b) for b in _sequences(3, 3) if b.m == 2] == ["100", "010", "001"]
+    assert [str(b) for b in _sequences(3, 3) if b.bits.count(0) == 2] == ["100", "010", "001"]
 
 
 def test_frozen_records_compare_hash_and_print_by_their_fields():
