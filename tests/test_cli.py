@@ -410,16 +410,17 @@ def test_cli_modules_define_only_what_they_run():
                 refs.setdefault(node.attr, []).append(id(node))
                 attrs.setdefault(node.attr, []).append(id(node))
 
-    def unused(node, refs=refs) -> bool:
+    def unused(node, names: dict) -> bool:
         inside = {id(n) for n in ast.walk(node)}
-        return all(ref in inside for ref in refs.get(node.name, ()))
+        return all(ref in inside for ref in names.get(node.name, ()))
 
     found = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if (module, node.name) not in kept and node.name not in bklkit.__all__ and unused(node):
+            if ((module, node.name) not in kept and node.name not in bklkit.__all__
+                    and unused(node, refs)):
                 found.append(f"{module}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
