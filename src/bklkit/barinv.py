@@ -17,9 +17,14 @@ The root vectors are iterated q^-1-commutators of Chevalley actions:
 On a monomial they have a closed form, the iterated coproduct of the root
 vector over the slots: a sum over chains of slots that carry consecutive
 segments of [min(c,d), max(c,d)], with a sign and power of q per slot (see
-_chains and CONVENTIONS.md).  BarContext.row scans each monomial of the
-prefix row once, left to right, and emits the chains of every move c -> d
-in that one pass; no bracket is stored.  oracle._nested computes the same
+_chains and CONVENTIONS.md).  _chains scans a monomial g once, left to
+right, and emits the chains of every move c -> d in that one pass; no
+bracket is stored.  The scan depends on (g, c) alone, and many full-length
+rows share a g in their prefix rows, so BarContext keeps the scans of its
+full-length rows, one per (g, c) for as long as the context lives: a flat
+tuple of interned keys and packed (e, neg, r) codes, which a row reads
+with no scan and no tuple built.  A prefix row is built once per context,
+so its scans are not kept.  oracle._nested computes the same
 brackets by the recursion above on _act_raw passes; the right-to-left
 recursion oracle.bar_row_rl uses it, on F actions with mirrored ends, as
 an independent witness of the tensor order.
@@ -56,7 +61,22 @@ from .fock import Window, wedge_gather
 from .scalars import Laurent, ONE, Z_QMQINV, pack, unpack
 
 
-def _chains(bits: tuple, g: tuple, c: int, up: bool, k: int) -> list:
+# A chain term's (e, neg, r) packed into one int, code = e * 2^8 + neg * 2^7
+# + r: the low 8 bits hold neg and r (0 < r < 2^7) whatever the sign of e,
+# so a slot adds to e by adding multiples of 2^8, flips neg by xor with
+# 2^7, and lengthens the chain by adding 1.  A chain has at most one slot
+# per factor before the last, so r < 2^7 holds on every window of at most
+# 128 factors or at level k <= 63 (a chain is at most 2k long, one unit
+# of [min(c,d), max(c,d)] per slot at least); BarContext refuses others.
+_E, _NEG, _R = 256, 128, 127
+
+
+def _decode(code: int) -> tuple:
+    """(e, neg, r) of the chain-term code e * _E + neg * _NEG + r."""
+    return code >> 8, (code & _NEG) >> 7, code & _R
+
+
+def _chains(bits: tuple, g: tuple, c: int, up: bool, k: int, keys: dict) -> list:
     """The terms of every bracket R(c,d) (up) or S(d,c) applied to M_g.
 
     One left-to-right scan of g.  A term is a chain of slots s_1 < ... < s_r
@@ -67,34 +87,38 @@ def _chains(bits: tuple, g: tuple, c: int, up: bool, k: int) -> list:
     (-q^-1)^(b-a-1); every slot s right of s_1 carries q^kappa, where
     [lo, hi] is the union of the segments of the chain slots left of s and
     kappa is +1 for an entry hi, -1 for an entry lo, negated on a W slot.
-    Returns (h, d, e, neg, r) per chain: the bracket for the move to d is
-    the sum of (-1)^neg q^e (q - q^-1)^(r-1) M_h over its chains.
+    Returns the flat list [h + (d,), code, ...], one pair per chain, with
+    code = e * _E + neg * _NEG + r: the bracket for the move to d is the sum
+    of (-1)^neg q^e (q - q^-1)^(r-1) M_h over its chains, and h + (d,) is
+    the key the chain term takes in the row of the move.  Each key is
+    interned through keys, so the list is ready to be kept as it is.
     """
     step = 1 if up else -1
     same = 0 if up else 1  # the slot type whose entry jumps to the chain end
     stop = k + 1 if up else -k - 1
     n = len(g)
     out = []
-    stack = [(0, c, 0, 0, 0, g)]  # next slot, chain end, exponent, sign, length, moved g
+    stack = [(0, c, 0, g)]  # next slot, chain end, code of (e, neg, r), moved g
     while stack:
-        j, t, e, neg, r, h = stack.pop()
+        j, t, code, h = stack.pop()
         if j == n:
-            if r:
-                out.append((h, t, e, neg, r))
+            if code & _R:
+                h += (t,)
+                out += (keys.setdefault(h, h), code)
             continue
         v = g[j]
         kind = bits[j] == same
-        if r and (v == t or v == c):
-            kappa = 1 if v == t else -1
-            e += kappa if kind else -kappa
-        stack.append((j + 1, t, e, neg, r, h))
+        if code & _R and (v == t or v == c):
+            kappa = _E if v == t else -_E
+            code += kappa if kind else -kappa
+        stack.append((j + 1, t, code, h))
         if kind:
             if (v - t) * step > 0:
-                stack.append((j + 1, v, e, neg, r + 1, h[:j] + (t,) + h[j + 1 :]))
+                stack.append((j + 1, v, code + 1, h[:j] + (t,) + h[j + 1 :]))
         elif v == t:
             for x in range(t + step, stop, step):
                 m = (x - t) * step - 1
-                stack.append((j + 1, x, e - m, neg ^ (m & 1), r + 1, h[:j] + (x,) + h[j + 1 :]))
+                stack.append((j + 1, x, (code - m * _E + 1) ^ (m & 1) * _NEG, h[:j] + (x,) + h[j + 1 :]))
     return out
 
 
@@ -107,12 +131,18 @@ class BarContext:
         self.window = window
         self.bits = window.b.bits
         self.k = window.k
+        if min(len(self.bits) - 1, 2 * self.k) > _R:
+            raise ValueError("a chain of this window may be longer than a code holds")
         self._keys: dict = {}  # index tuple -> its one stored copy
         self._values: dict = {}  # Laurent -> its one stored copy
         self._pooled: set = set()  # ids of the stored copies in _values
-        self._terms: dict = {}  # (id of a stored c, e, neg, r) -> stored term value
+        self._terms: dict = {}  # (id of a stored c, code of (e, neg, r)) -> stored term value
         self._sums: dict = {}  # (id of a stored a, id of a stored b) -> stored a + b
         self._zpows = [ONE, Z_QMQINV]  # (q - q^-1)^r at r, grown on demand
+        # the interned key g + (c,) of a full-length row's entry -> the chain
+        # terms of g under the move from c, as a flat tuple (interned key
+        # h + (d,), code, ...): each (g, c) is scanned once per context
+        self._chain_memo: dict = {}
         self._rows: dict = {(): self.share({(): ONE})}
 
     def share(self, d: dict) -> dict:
@@ -135,7 +165,13 @@ class BarContext:
         return c
 
     def row(self, f: tuple) -> dict:
-        """bar(M_f) within the window, as a raw dict {g: Laurent}."""
+        """bar(M_f) within the window, as a raw dict {g: Laurent}.
+
+        Each monomial g of the prefix row contributes its shift g + (c,)
+        and the chain terms of g under the move from c = f[-1]: scanned
+        by _chains, and for a full-length f kept in _chain_memo, so that
+        each (g, c) is scanned once per context.
+        """
         f = tuple(f)
         hit = self._rows.get(f)
         if hit is not None:
@@ -150,26 +186,36 @@ class BarContext:
         # every move d != c ends its keys in d, so the chain terms never meet
         # the shifted prefix row; terms that meet at one key sum through
         # _sums, once per pair of stored values, so every value in out is
-        # a stored one, and every key is interned as it first goes in
+        # a stored one, and every key is interned before it goes in
         bits, up, k = self.bits, self.bits[p - 1] == 0, self.k
         keys, terms, sums, zpows = self._keys, self._terms, self._sums, self._zpows
+        memo = self._chain_memo if p == len(bits) else None
         out: dict = {}
         for g, coef in base.items():
             key = g + (c,)
-            out[keys.setdefault(key, key)] = coef
-            for h, d, e, neg, r in _chains(bits, g, c, up, k):
-                tk = (id(coef), e, neg, r)
+            key = keys.setdefault(key, key)
+            out[key] = coef
+            if memo is None:
+                chain = _chains(bits, g, c, up, k, keys)
+            else:
+                chain = memo.get(key)
+                if chain is None:
+                    chain = memo[key] = tuple(_chains(bits, g, c, up, k, keys))
+            if not chain:
+                continue
+            cid = id(coef)
+            for i in range(0, len(chain), 2):
+                tk = (cid, chain[i + 1])
                 s = terms.get(tk)
                 if s is None:
+                    e, neg, r = _decode(tk[1])
                     while len(zpows) <= r:
                         zpows.append(zpows[-1] * Z_QMQINV)
                     s = (coef * zpows[r]).shift(e)
                     s = terms[tk] = self._pool(-s if neg else s)
-                key = h + (d,)
+                key = chain[i]
                 a = out.get(key)
-                if a is None:
-                    key = keys.setdefault(key, key)
-                else:
+                if a is not None:
                     sk = (id(a), id(s))
                     v = sums.get(sk)
                     if v is None:

@@ -326,8 +326,9 @@ def suite_adjacency(max_rank: int = 4) -> Suite:
         for kappa in adjacent_positions(b):
             def check(b=b, kappa=kappa, k=k):
                 n = 0
+                there: dict = {}  # receiving-side columns, shared across f
                 for f in product(range(-1, 2), repeat=len(b)):
-                    adjacency_transport(b, kappa, f, k=k)
+                    adjacency_transport(b, kappa, f, k=k, there=there)
                     n += 1
                 return f"{n} columns, window {k}"
 
@@ -779,20 +780,24 @@ def parabolic_columns(b: SignedSeq, kappa: int, f: tuple, k: int) -> tuple:
     return lcheck, tcheck
 
 
-def adjacency_transport(b: SignedSeq, kappa: int, f: tuple, k: int) -> tuple:
+def adjacency_transport(b: SignedSeq, kappa: int, f: tuple, k: int, there: dict | None = None) -> tuple:
     """Transport both columns of f across the odd swap and verify them from scratch.
 
     Dual columns relabel N-coordinates by f -> f^L, canonical ones
     U-coordinates by f -> f^U; the receiving side is recomputed
     independently and compared on the safe sub-box.  Returns the
-    transported (dual, canonical) columns.
+    transported (dual, canonical) columns.  there maps f' to the
+    receiving side's parabolic_columns at f'; a caller that transports
+    several f of one (b, kappa, k) passes one dict to all of them, so that
+    an f' two of them reach is computed once.
     """
     if _pair_kind(b, kappa) != "VW":
         raise ValueError("transport starts from the (0,1) side of the pair")
     bp = swap(b, kappa)
     f = tuple(f)
     here = parabolic_columns(b, kappa, f, k)
-    there: dict = {}  # f' -> its columns over bp; f^L = f^U when f is untied
+    if there is None:
+        there = {}  # f' -> its columns over bp; f^L = f^U when f is untied
     out = []
     # the dual (l-check) column comes first, the canonical (t-check) second;
     # back is the inverse bijection of move

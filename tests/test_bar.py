@@ -11,7 +11,11 @@ import pytest
 from bklkit.barinv import (
     BarContext,
     BarTable,
+    _E,
+    _NEG,
+    _R,
     _chains,
+    _decode,
     bar_table,
     wedge_bar_row,
 )
@@ -426,7 +430,10 @@ def chain_brackets(bits, terms, c, up, k):
     """Every bracket of the move from c applied to terms by the chain rule, by d."""
     out: dict = {}
     for g, coef in terms.items():
-        for h, d, e, neg, r in _chains(bits, g, c, up, k):
+        chain = _chains(bits, g, c, up, k, {})
+        for key, code in zip(chain[::2], chain[1::2]):
+            h, d = key[:-1], key[-1]
+            e, neg, r = _decode(code)
             t = coef
             for _ in range(r - 1):
                 t = t * Z_QMQINV
@@ -504,3 +511,72 @@ def test_rows_match_the_bracket_recursion_on_rank_4_windows():
         ctx, ref = BarContext(win), ReferenceRows(win)
         for f in win.basis():
             assert ctx.row(f) == ref.row(f), (bits, f)
+
+
+def chain_memo_windows():
+    # a rank-4 tensor window and the extended context of a wedge window
+    return (Window(SignedSeq.parse("0011"), 2), Window(SignedSeq.parse("01"), 2, ("V", 2)).extended())
+
+
+def test_memoized_rows_do_not_depend_on_the_build_order():
+    # full-length rows read the chain memo that earlier rows filled, so
+    # rows built in basis order and in reverse basis order, each on a
+    # fresh context, must agree with each other and with the
+    # right-to-left recursion
+    for win in chain_memo_windows():
+        basis = list(win.basis())
+        forward, backward = BarContext(win), BarContext(win)
+        rows = {f: forward.row(f) for f in basis}
+        rows_back = {f: backward.take(f) for f in reversed(basis)}
+        assert forward._chain_memo and backward._chain_memo
+        for f in basis:
+            assert rows[f] == rows_back[f] == bar_row_rl(win, f), (win, f)
+
+
+def test_chain_memo_scans_each_pair_once(monkeypatch):
+    from bklkit import barinv
+
+    scans: list = []
+
+    def counted(bits, g, c, up, k, keys):
+        scans.append((len(g) + 1 == len(bits), g, c))
+        return _chains(bits, g, c, up, k, keys)
+
+    monkeypatch.setattr(barinv, "_chains", counted)
+    for win in chain_memo_windows():
+        scans.clear()
+        ctx = BarContext(win)
+        basis = list(win.basis())
+        for f in basis + basis[::-1]:
+            ctx.take(f)
+        pairs = {g + (f[-1],) for f in basis for g in ctx.row(f[:-1])}
+        full = [g + (c,) for last, g, c in scans if last]
+        # one entry and one scan per distinct (g, c), keyed by g + (c,)
+        assert set(ctx._chain_memo) == set(full) == pairs
+        assert len(full) == len(pairs)
+        for chain in ctx._chain_memo.values():
+            assert type(chain) is tuple and len(chain) % 2 == 0
+            # every key is the context's one copy of it, every code an int
+            assert all(ctx._keys[h] is h for h in chain[::2])
+            assert all(type(code) is int for code in chain[1::2])
+
+
+def test_chain_codes_round_trip():
+    # e of either sign, neg, and every r up to the largest a code holds
+    for e in (-(2**40), -300, -129, -128, -1, 0, 1, 127, 128, 300, 2**40):
+        for neg in (0, 1):
+            for r in range(1, _R + 1):
+                assert _decode(e * _E + neg * _NEG + r) == (e, neg, r)
+    # a chain has at most min(m + n - 1, 2k) slots, and pure windows
+    # reach the bound on either side of the minimum
+    for seq, k in (("0000", 3), ("00000", 1), ("1111", 3)):
+        bits = SignedSeq.parse(seq).bits
+        longest = 0
+        for g in Window(SignedSeq(bits[:-1]), k).basis():
+            for c in range(-k, k + 1):
+                chain = _chains(bits, g, c, bits[-1] == 0, k, {})
+                longest = max([longest] + [_decode(code)[2] for code in chain[1::2]])
+        assert longest == min(len(bits) - 1, 2 * k), (seq, k)
+    with pytest.raises(ValueError, match="longer than a code holds"):
+        BarContext(Window(SignedSeq((0,) * 129), 64))
+    BarContext(Window(SignedSeq((0,) * 129), 63))

@@ -83,3 +83,20 @@ def test_triangularity_catches_a_bar_entry_the_engine_lets_through(monkeypatch):
         engine.cache_clear()
     assert [r.name for r in failed] == ["triangularity b=01 k=2"]
     assert "(-2, -1)" in failed[0].detail, failed[0].detail
+
+
+def test_adjacency_suite_computes_each_parabolic_column_pair_once(monkeypatch):
+    # the receiving side of one (b, kappa) is shared across its f: an f'
+    # that f^L of one f and f^U of another both reach is computed once
+    from bklkit import verify
+
+    calls = []
+    real = verify.parabolic_columns
+
+    def counted(b, kappa, f, k):
+        calls.append((b, kappa, tuple(f), k))
+        return real(b, kappa, f, k)
+
+    monkeypatch.setattr(verify, "parabolic_columns", counted)
+    assert verify.suite_adjacency(3).ok
+    assert len(calls) == len(set(calls)) > 0

@@ -4,7 +4,7 @@ Column mode solves engine(Window(seq, k)).column(f, kind) once, with no
 stability check and no cache, and prints
 
     {"seq", "f", "k", "kind", "seconds", "peak_rss_mb", "entries",
-     "lanes", "sha256"}
+     "lanes", "chain_memo", "sha256"}
 
 seconds is the time.perf_counter span of the column call alone; sha256 is
 taken over the column's to_json() dumped with sorted keys.
@@ -18,13 +18,18 @@ bar rows during the canonical table, as a table-session window does.  It
 prints
 
     {"seq", "k", "seconds": {phase: s}, "peak_rss_mb", "rows",
-     "sha256": {"bar", "canonical", "dual"}}
+     "chain_memo", "sha256": {"bar", "canonical", "dual"}}
 
 each sha256 over that table's to_json() dumped with sorted keys, as the
 bench digests its tables.  The bar table is dropped before the BKL tables
 are built.
 
-In both modes peak_rss_mb is the process's ru_maxrss (import included).
+In both modes peak_rss_mb is the process's ru_maxrss (import included),
+and chain_memo = {"pairs", "terms"} sizes the engine's BarContext memo of
+full-length chain scans at the end: the (g, c) pairs it holds and the
+chain terms over all of them (each term one interned key and one code in
+a flat tuple, so the memo holds about 2 * terms pointers), or null on a
+revision whose BarContext keeps no such memo.
 Run it once per measurement, so that every run starts from empty caches:
 
     PYTHONPATH=src python tools/column_probe.py --seq 000111 --f 1,1,1,1,1,1 --k 9 --kind dual
@@ -55,6 +60,13 @@ def _peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
+def _chain_memo(ctx: BarContext) -> dict | None:
+    memo = getattr(ctx, "_chain_memo", None)  # None on a revision without it
+    if memo is None:
+        return None
+    return {"pairs": len(memo), "terms": sum(map(len, memo.values())) // 2}
+
+
 def probe(seq: str, f: tuple, k: int, kind: str) -> dict:
     eng = engine(Window(SignedSeq.parse(seq), k))
     start = time.perf_counter()
@@ -69,6 +81,7 @@ def probe(seq: str, f: tuple, k: int, kind: str) -> dict:
         "peak_rss_mb": _peak_rss_mb(),
         "entries": len(col.entries),
         "lanes": list(getattr(eng, "_lanes", ())),
+        "chain_memo": _chain_memo(eng._ctx),
         "sha256": _sha256(col),
     }
 
@@ -99,6 +112,7 @@ def probe_table(seq: str, k: int) -> dict:
         "seconds": seconds,
         "peak_rss_mb": _peak_rss_mb(),
         "rows": rows,
+        "chain_memo": _chain_memo(engine(window)._ctx),
         "sha256": sha,
     }
 
