@@ -1,10 +1,9 @@
 """bklkit: exact canonical / dual canonical bases and BKL polynomials in
 windowed mixed Fock spaces, with a q=1 character layer for gl(m|n)."""
 
-from .combinat import SignedSeq, WedgeIndex
+from .combinat import SignedSeq, WedgeIndex, Window
 from .canonical import CANONICAL, DUAL, bkl, wedge_bkl
 from .characters import irreducible_character, tilting_character
-from .fock import Window
 from .scalars import Laurent
 
 __all__ = [

@@ -45,6 +45,7 @@ is stored as built.  The engine's solve takes each full-length tensor row
 out of its context (BarContext.take) and keeps it as a push list (see
 canonical).  A wedge row takes the extended row it is gathered from, so
 the context never keeps a full-length extended row beside the wedge row.
+wedge_gather reads that row times H_0 in wedge coordinates, in closed form.
 
 BarTable checks its rows exactly in integers: the involution identity by
 Kronecker substitution, unitriangularity through combinat.SharpPack (both
@@ -56,9 +57,8 @@ equivariance and uniqueness test suites.
 """
 from __future__ import annotations
 
-from .combinat import SharpPack, format_weight
-from .fock import Window, wedge_gather
-from .scalars import Laurent, ONE, Z_QMQINV, pack, unpack
+from .combinat import SharpPack, Window, format_weight
+from .scalars import Laurent, ONE, Z_QMQINV, addmul, pack, unpack
 
 
 # A chain term's (e, neg, r) packed into one int, code = e * 2^8 + neg * 2^7
@@ -237,6 +237,28 @@ class BarContext:
         if f:
             del self._rows[f]
         return row
+
+
+def wedge_gather(terms: dict, mn: int, side: str, kw: int) -> dict:
+    """Wedge coordinates of x H_0 for x = sum c_g M_g on the extended window.
+
+    Let base be the tail of g in ascent order (increasing for V, decreasing
+    for W).  Each letter of a reduced word from base to the tail is an
+    ascent, so M_g = M_{head+base} H_s, and H_s H_0 = (-q)^{l(s)} H_0
+    gives M_g H_0 = (-q)^l M_{head+base} H_0, the wedge vector of the
+    sorted tail, where l counts the tail pairs out of ascent order.  A
+    tail with a repeated entry is killed by H_0.
+    """
+    desc = side == "V"
+    out: dict = {}
+    for g, c in terms.items():
+        tail = g[mn:]
+        if len(set(tail)) < kw:
+            continue
+        l = sum((x > y) == desc for i, x in enumerate(tail) for y in tail[i + 1 :])
+        v = c.shift(l)
+        addmul(out, g[:mn] + tuple(sorted(tail, reverse=desc)), -v if l % 2 else v)
+    return out
 
 
 def wedge_bar_row(wwin: Window, ext_ctx: BarContext, idx: tuple) -> dict:

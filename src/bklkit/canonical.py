@@ -46,8 +46,7 @@ from heapq import heappop, heappush
 from math import comb
 
 from .barinv import BarContext, wedge_bar_row
-from .combinat import SignedSeq, bruhat_leq, format_weight
-from .fock import Window
+from .combinat import SignedSeq, Window, bruhat_leq, format_weight
 from .scalars import ONE, ZERO, pack, unpack
 
 CANONICAL = "canonical"
@@ -369,6 +368,13 @@ def auto_level(b: SignedSeq, f: tuple, wedge_len: int = 0) -> int:
     return spread + len(b) + wedge_len + WINDOW_MARGIN
 
 
+def query_window(b: SignedSeq, f: tuple, k: int | None, wedge: tuple | None = None) -> Window:
+    """The window a query on f solves over: level k, or auto_level if k is None."""
+    if k is None:
+        k = auto_level(b, f, wedge[1] if wedge else 0)
+    return Window(b, k, wedge)
+
+
 def bkl(
     b: SignedSeq,
     f: tuple,
@@ -384,7 +390,7 @@ def bkl(
     (truncation_consistent_tensor) compares two separately built ones.
     """
     f = tuple(f)
-    k = k if k is not None else auto_level(b, f)
+    k = query_window(b, f, k).k
     big = engine(Window(b, k + 1))
     small = big.below()
     small._check(f, kind)
@@ -403,9 +409,7 @@ def wedge_bkl(
     k: int | None = None,
 ) -> BklColumn:
     """A BKL column over a finite q-wedge window (flat index f)."""
-    k = k if k is not None else auto_level(b, f, kw)
-    win = Window(b, k, (side, kw))
-    return engine(win).column(tuple(f), kind)
+    return engine(query_window(b, f, k, (side, kw))).column(tuple(f), kind)
 
 
 def _in_box(g: tuple, k: int) -> bool:

@@ -9,9 +9,8 @@ that they agree across odd reflections (odd_reflection_check).
 """
 from __future__ import annotations
 
-from .canonical import CANONICAL, DUAL, auto_level, engine
+from .canonical import CANONICAL, DUAL, engine, query_window
 from .combinat import SignedSeq, f_to_weight, format_weight, weight_to_f
-from .fock import Window
 
 IRREDUCIBLE = "irreducible"
 TILTING = "tilting"
@@ -43,14 +42,14 @@ class CharacterExpansion:
 def _expansion(b: SignedSeq, lam: tuple, kind: str, k: int | None) -> CharacterExpansion:
     lam = tuple(lam)
     f = weight_to_f(b, lam)
-    k = k if k is not None else auto_level(b, f)
-    col = engine(Window(b, k)).column(f, DUAL if kind == IRREDUCIBLE else CANONICAL)
+    window = query_window(b, f, k)
+    col = engine(window).column(f, DUAL if kind == IRREDUCIBLE else CANONICAL)
     terms = {}
     for g, c in col.entries.items():
         v = c.ev()
         if v:
             terms[f_to_weight(b, g)] = v
-    return CharacterExpansion(b, kind, lam, k, terms)
+    return CharacterExpansion(b, kind, lam, window.k, terms)
 
 
 def irreducible_character(b: SignedSeq, lam: tuple, k: int | None = None) -> CharacterExpansion:

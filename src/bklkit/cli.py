@@ -25,12 +25,11 @@ import sys
 from types import SimpleNamespace
 
 from . import cache as cachemod
-from .canonical import CANONICAL, DUAL, BklColumn, auto_level, bkl, wedge_bkl
+from .canonical import CANONICAL, DUAL, BklColumn, bkl, query_window, wedge_bkl
 from .characters import irreducible_character, tilting_character
 from .combinat import (
-    SignedSeq, WedgeIndex, check_partition, parse_int, parse_weight, weight_to_f,
+    SignedSeq, WedgeIndex, Window, check_partition, parse_int, parse_weight, weight_to_f,
 )
-from .fock import Window
 from .scalars import Laurent
 
 
@@ -205,10 +204,8 @@ def cmd_bkl(args) -> int:
         root = cachemod.cache_dir(args.cache_dir)
         payload_bytes = cachemod.load(root, key)
         if payload_bytes is not None:
-            # the window that bkl or wedge_bkl below solves over
-            kw = wspec["kw"] if wspec else 0
-            k = args.window if args.window is not None else auto_level(b, flat, kw)
-            window = Window(b, k, (wspec["side"], kw) if wspec else None)
+            side_kw = (wspec["side"], wspec["kw"]) if wspec else None
+            window = query_window(b, flat, args.window, side_kw)
             payload = _served(payload_bytes, window, flat, kind)
     if payload is None:
         if wspec is None:

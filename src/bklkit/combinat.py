@@ -1,13 +1,17 @@
 """Index-level combinatorics.
 
-0^m1^n-sequences, integer weight functions and the Bruhat ordering attached
-to a sequence, Weyl vectors and the weight <-> index dictionaries, and the
-partition bookkeeping behind semi-infinite wedge tails.
+0^m1^n-sequences, windows (the finite basis of a truncated mixed Fock
+space: tensor entries bounded by k, then an optional finite q-wedge tail),
+integer weight functions and the Bruhat ordering attached to a sequence,
+Weyl vectors and the weight <-> index dictionaries, and the partition
+bookkeeping behind semi-infinite wedge tails.
 
 Positions are 1-based in the public API, mirroring the indexing [m+n];
 weight functions are plain int tuples.
 """
 from __future__ import annotations
+
+from itertools import combinations, product
 
 Weight = tuple  # tuple[int, ...]
 
@@ -84,17 +88,62 @@ class SignedSeq(Frozen):
         return SignedSeq(self.bits + (bit,) * count)
 
 
-def wt_signature(b: SignedSeq, f: Weight) -> tuple:
-    """Canonical form of the formal weight sum_i (-1)^{b_i} eps_{f(i)}."""
-    acc: dict = {}
-    for i, v in enumerate(f):
-        s = -1 if b.bits[i] else 1
-        w = acc.get(v, 0) + s
-        if w:
-            acc[v] = w
-        else:
-            acc.pop(v, None)
-    return tuple(sorted(acc.items()))
+class Window(Frozen):
+    __slots__ = ("b", "k", "wedge")  # wedge is None, ("V", kw) or ("W", kw)
+
+    def __init__(self, b: SignedSeq, k: int, wedge: tuple | None = None):
+        if k <= 0:
+            raise ValueError("window level k must be positive")
+        if wedge is not None:
+            side, kw = wedge
+            if side not in ("V", "W") or kw < 0:
+                raise ValueError(f"bad wedge spec {wedge}")
+        super().__init__(b, k, wedge)
+
+    @property
+    def tensor_len(self) -> int:
+        return len(self.b)
+
+    @property
+    def wedge_len(self) -> int:
+        return self.wedge[1] if self.wedge else 0
+
+    def extended(self) -> "Window":
+        """The pure tensor window the wedge part embeds into."""
+        if self.wedge is None:
+            return self
+        side, kw = self.wedge
+        return Window(self.b.extend(0 if side == "V" else 1, kw), self.k)
+
+    def valid_index(self, f: tuple) -> bool:
+        wedge, k = self.wedge, self.k
+        mn = len(self.b.bits)
+        if len(f) != (mn + wedge[1] if wedge else mn):
+            return False
+        if f and (max(f) > k or min(f) < -k):
+            return False
+        if wedge:
+            side, kw = wedge
+            tail = f[mn:]
+            if side == "V":
+                return all(tail[i] > tail[i + 1] for i in range(kw - 1))
+            return all(tail[i] < tail[i + 1] for i in range(kw - 1))
+        return True
+
+    def basis(self):
+        rng = range(-self.k, self.k + 1)
+        heads = product(rng, repeat=self.tensor_len)
+        if self.wedge is None:
+            yield from heads
+            return
+        side, kw = self.wedge
+        tails = [
+            tuple(sorted(c, reverse=(side == "V")))
+            for c in combinations(rng, kw)
+        ]
+        for h in heads:
+            for t in tails:
+                yield h + t
 
 
 def bruhat_leq(b: SignedSeq, g: Weight, f: Weight) -> bool:

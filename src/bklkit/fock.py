@@ -1,81 +1,38 @@
-"""Windowed Fock spaces.
+"""The reference actions on windowed Fock spaces.
 
-A window holds the finite basis of a truncated mixed tensor space: entries
-of the tensor part bounded by k, optionally followed by a finite q-wedge
-tail (strictly decreasing for the V side, strictly increasing for the W
-side).  A vector is a term dict {basis index: Laurent}, and every function
-here that acts on one returns a new term dict.
+No bkl or char query runs this module: verify, the oracle and the tests
+check the pipeline against it.  A vector is a term dict {basis index:
+Laurent} over a combinat.Window, and every function here that acts on one
+returns a new term dict.
 
 Chevalley generators act positionwise through the comultiplication
 Delta(E_a) = 1 (x) E_a + E_a (x) K_{a+1,a} and
 Delta(F_a) = F_a (x) 1 + K_{a,a+1} (x) F_a, so E twists to the right of the
 acting slot and F twists to the left.  They act on tensor windows and
 drop every term moved outside the window (the window projection).
+
+h0_apply multiplies by H_0 through the Hecke action on slot pairs, and
+wedge_project reads the wedge coordinates of its image: the reference
+that barinv.wedge_gather's closed form is tested against.  wt_signature
+and _weight_classes group a window's basis by weight for the oracle.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
-
-from .combinat import Frozen, SignedSeq, wt_signature
+from .combinat import SignedSeq, Weight, Window
 from .scalars import Laurent, addmul
 
 
-class Window(Frozen):
-    __slots__ = ("b", "k", "wedge")  # wedge is None, ("V", kw) or ("W", kw)
-
-    def __init__(self, b: SignedSeq, k: int, wedge: tuple | None = None):
-        if k <= 0:
-            raise ValueError("window level k must be positive")
-        if wedge is not None:
-            side, kw = wedge
-            if side not in ("V", "W") or kw < 0:
-                raise ValueError(f"bad wedge spec {wedge}")
-        super().__init__(b, k, wedge)
-
-    @property
-    def tensor_len(self) -> int:
-        return len(self.b)
-
-    @property
-    def wedge_len(self) -> int:
-        return self.wedge[1] if self.wedge else 0
-
-    def extended(self) -> "Window":
-        """The pure tensor window the wedge part embeds into."""
-        if self.wedge is None:
-            return self
-        side, kw = self.wedge
-        return Window(self.b.extend(0 if side == "V" else 1, kw), self.k)
-
-    def valid_index(self, f: tuple) -> bool:
-        wedge, k = self.wedge, self.k
-        mn = len(self.b.bits)
-        if len(f) != (mn + wedge[1] if wedge else mn):
-            return False
-        if f and (max(f) > k or min(f) < -k):
-            return False
-        if wedge:
-            side, kw = wedge
-            tail = f[mn:]
-            if side == "V":
-                return all(tail[i] > tail[i + 1] for i in range(kw - 1))
-            return all(tail[i] < tail[i + 1] for i in range(kw - 1))
-        return True
-
-    def basis(self):
-        rng = range(-self.k, self.k + 1)
-        heads = product(rng, repeat=self.tensor_len)
-        if self.wedge is None:
-            yield from heads
-            return
-        side, kw = self.wedge
-        tails = [
-            tuple(sorted(c, reverse=(side == "V")))
-            for c in combinations(rng, kw)
-        ]
-        for h in heads:
-            for t in tails:
-                yield h + t
+def wt_signature(b: SignedSeq, f: Weight) -> tuple:
+    """Canonical form of the formal weight sum_i (-1)^{b_i} eps_{f(i)}."""
+    acc: dict = {}
+    for i, v in enumerate(f):
+        s = -1 if b.bits[i] else 1
+        w = acc.get(v, 0) + s
+        if w:
+            acc[v] = w
+        else:
+            acc.pop(v, None)
+    return tuple(sorted(acc.items()))
 
 
 def _weight_classes(window: Window) -> dict:
@@ -204,25 +161,3 @@ def wedge_project(terms: dict, wwin: Window) -> dict:
     if wwin.wedge is None:
         raise ValueError("window has no wedge part")
     return {f: c for f, c in terms.items() if wwin.valid_index(f)}
-
-
-def wedge_gather(terms: dict, mn: int, side: str, kw: int) -> dict:
-    """Wedge coordinates of x H_0 for x = sum c_g M_g on the extended window.
-
-    Let base be the tail of g in ascent order (increasing for V, decreasing
-    for W).  Each letter of a reduced word from base to the tail is an
-    ascent, so M_g = M_{head+base} H_s, and H_s H_0 = (-q)^{l(s)} H_0
-    gives M_g H_0 = (-q)^l M_{head+base} H_0, the wedge vector of the
-    sorted tail, where l counts the tail pairs out of ascent order.  A
-    tail with a repeated entry is killed by H_0.
-    """
-    desc = side == "V"
-    out: dict = {}
-    for g, c in terms.items():
-        tail = g[mn:]
-        if len(set(tail)) < kw:
-            continue
-        l = sum((x > y) == desc for i, x in enumerate(tail) for y in tail[i + 1 :])
-        v = c.shift(l)
-        addmul(out, g[:mn] + tuple(sorted(tail, reverse=desc)), -v if l % 2 else v)
-    return out

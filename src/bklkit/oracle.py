@@ -7,17 +7,17 @@ of a tiny window is the only solution of the linear constraints that
 define it: exact residuals in Z[q, q^-1] and a rank computed modulo a prime.
 All of it exists to cross-check the main pipeline, not to feed it.
 
-At the end: references for the vector actions, the wedge embedding, the
-down moves and the bar rows (_nested, bar_row_rl, the right-to-left
-witness of barinv's tensor order) that the tests compare parts against.
+At the end: references for the vector actions, the wedge embedding and
+the bar rows (_nested, bar_row_rl, the right-to-left witness of barinv's
+tensor order) that the tests compare parts against.
 """
 from __future__ import annotations
 
 from itertools import permutations
 
 from .barinv import BarContext
-from .combinat import SignedSeq, Weight, bruhat_leq, wt_signature
-from .fock import Window, _act_raw, _hecke_raw, _weight_classes, h0_apply
+from .combinat import SignedSeq, Window, bruhat_leq
+from .fock import _act_raw, _hecke_raw, _weight_classes, h0_apply, wt_signature
 from .scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul
 
 
@@ -362,45 +362,6 @@ def wedge_embed(wwin: Window, idx: tuple) -> dict:
     mn = wwin.tensor_len
     rev = idx[:mn] + tuple(reversed(idx[mn:]))
     return h0_apply(ext, {rev: ONE}, mn, kw)
-
-
-def down_moves(b: SignedSeq, f: Weight) -> set:
-    """All g with f moving down to g by one elementary move."""
-    bits = b.bits
-    p = len(bits)
-    out = set()
-    for i in range(p):
-        for j in range(i + 1, p):
-            if bits[i] == bits[j]:
-                if bits[i] == 0 and f[i] > f[j] or bits[i] == 1 and f[i] < f[j]:
-                    g = list(f)
-                    g[i], g[j] = g[j], g[i]
-                    out.add(tuple(g))
-            elif f[i] == f[j]:
-                g = list(f)
-                g[i] -= 1 if bits[i] == 0 else -1
-                g[j] += 1 if bits[j] == 0 else -1
-                out.add(tuple(g))
-    return out
-
-
-def move_closure_reaches(b: SignedSeq, f: Weight, g: Weight) -> bool:
-    """Diagnostic: is g reachable from f by chains of down moves?
-
-    Strictly weaker than bruhat_leq for general sequences.
-    """
-    seen = {f}
-    frontier = [f]
-    bound = max(max(abs(v) for v in f), max(abs(v) for v in g))
-    while frontier:
-        h = frontier.pop()
-        if h == g:
-            return True
-        for x in down_moves(b, h):
-            if x not in seen and all(abs(v) <= bound for v in x):
-                seen.add(x)
-                frontier.append(x)
-    return g in seen
 
 
 _MINUS_QINV = Laurent({-1: -1})

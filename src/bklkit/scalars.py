@@ -132,8 +132,6 @@ class Laurent:
 
 ZERO = Laurent()
 ONE = Laurent({0: 1})
-Q = Laurent({1: 1})
-QINV = Laurent({-1: 1})
 Z_QMQINV = Laurent({1: 1, -1: -1})  # q - q^-1
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from .barinv import BarContext, bar_table
+from .barinv import BarContext, bar_table, wedge_gather
 from .canonical import (
     CANONICAL,
     DUAL,
@@ -33,12 +33,13 @@ from .combinat import (
     SignedSeq,
     WedgeIndex,
     Weight,
+    Window,
     bruhat_leq,
     check_partition,
     f_to_weight,
     weight_to_f,
 )
-from .fock import Window, _act_raw, wedge_gather
+from .fock import _act_raw
 from .oracle import bar_row_rl, brute_bar_uniqueness, rank2_forms, schur_jimbo_match
 from .scalars import Laurent, ONE, ZERO, addmul
 

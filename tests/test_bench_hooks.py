@@ -7,7 +7,7 @@ null).  Installing the tracer here makes such a rename fail this suite.
 import sys
 from pathlib import Path
 
-import bklkit.cli  # noqa: F401  (imports every module that a hook targets)
+import bklkit.cli  # noqa: F401  (the query path; the tracer imports fock itself)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -31,8 +31,7 @@ def test_memo_attributes_the_tracer_reads():
     # column and row cache hits: a rename would zero the counts silently
     from bklkit.barinv import BarContext
     from bklkit.canonical import CANONICAL, BklEngine
-    from bklkit.combinat import SignedSeq
-    from bklkit.fock import Window
+    from bklkit.combinat import SignedSeq, Window
 
     win = Window(SignedSeq.parse("01"), 1)
     eng, ctx = BklEngine(win), BarContext(win)

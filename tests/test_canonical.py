@@ -21,8 +21,8 @@ from bklkit.canonical import (
     engine,
     wedge_bkl,
 )
-from bklkit.combinat import SignedSeq, WedgeIndex, bruhat_leq, wt_signature
-from bklkit.fock import Window
+from bklkit.combinat import SignedSeq, WedgeIndex, Window, bruhat_leq
+from bklkit.fock import wt_signature
 from bklkit.oracle import q_power, rank2_forms
 from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul, pack
 from bklkit.verify import (

@@ -121,7 +121,7 @@ def test_expansion_json():
 
 def test_q1_values_match_columns():
     from bklkit.canonical import DUAL, engine
-    from bklkit.fock import Window
+    from bklkit.combinat import Window
 
     b = SignedSeq.parse("010")
     lam = f_to_weight(b, (1, 1, 1))

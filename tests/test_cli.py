@@ -361,8 +361,10 @@ def test_cli_import_loads_only_what_bkl_and_char_run():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "bklkit.cli" in loaded and "bklkit.canonical" in loaded
-    for name in ("bklkit.verify", "bklkit.oracle", "dataclasses", "inspect", "argparse",
-                 "gettext"):
+    # fock holds only the reference actions that verify, the oracle and
+    # the tests check the pipeline against
+    for name in ("bklkit.verify", "bklkit.oracle", "bklkit.fock", "dataclasses", "inspect",
+                 "argparse", "gettext"):
         assert name not in loaded, name
     # without site, which may preload them, the cache's round trip loads
     # neither pathlib nor tempfile and what tempfile pulls in
@@ -375,14 +377,14 @@ def test_cli_import_loads_only_what_bkl_and_char_run():
 
 
 def test_cli_modules_define_only_what_they_run():
-    # every top-level def and class of a module that `import bklkit.cli`
-    # loads is referenced from those modules outside its own body, is
-    # exported by the package, or heads a bench hook target, and so is
-    # every non-dunder method, unless it is a hook target itself; a method
-    # counts as referenced only through an attribute (x.name), so a local
-    # variable that shares its name does not keep it; a witness that only
-    # verify, the oracle or a test calls belongs in verify or oracle, which
-    # bkl and char do not load
+    # every top-level def, class and assigned name of a module that
+    # `import bklkit.cli` loads is referenced from those modules outside its
+    # own statement, is exported by the package, or heads a bench hook
+    # target, and so is every non-dunder method, unless it is a hook target
+    # itself; a method counts as referenced only through an attribute
+    # (x.name), so a local variable that shares its name does not keep it; a
+    # witness or constant that only verify, the oracle or a test uses
+    # belongs in verify, oracle or the test, which bkl and char do not load
     code = (
         "import json, sys; import bklkit.cli; print(json.dumps({name: mod.__file__ "
         "for name, mod in sys.modules.items() if name.split('.')[0] == 'bklkit'}))"
@@ -410,24 +412,36 @@ def test_cli_modules_define_only_what_they_run():
                 refs.setdefault(node.attr, []).append(id(node))
                 attrs.setdefault(node.attr, []).append(id(node))
 
-    def unused(node, names: dict) -> bool:
+    def unused(node, names: dict, name: str) -> bool:
         inside = {id(n) for n in ast.walk(node)}
-        return all(ref in inside for ref in names.get(node.name, ()))
+        return all(ref in inside for ref in names.get(name, ()))
+
+    def assigned(node) -> list:
+        # the non-dunder names a top-level assignment binds (x = ..., x: T = ...,
+        # a, b = ...)
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and not n.id.startswith("__")]
 
     found = []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found += [f"{module}.{name}" for name in assigned(node)
+                          if name not in bklkit.__all__ and unused(node, refs, name)]
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if ((module, node.name) not in kept and node.name not in bklkit.__all__
-                    and unused(node, refs)):
+                    and unused(node, refs, node.name)):
                 found.append(f"{module}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
             for method in (n for n in node.body if isinstance(n, ast.FunctionDef)):
                 path = f"{node.name}.{method.name}"
                 dunder = method.name.startswith("__") and method.name.endswith("__")
-                if not dunder and (module, path) not in hooked and unused(method, attrs):
+                if (not dunder and (module, path) not in hooked
+                        and unused(method, attrs, method.name)):
                     found.append(f"{module}.{path}")
     assert found == []
 

@@ -14,9 +14,8 @@ from bklkit.combinat import (
     w_tail,
     weight_to_f,
     weyl_rho,
-    wt_signature,
 )
-from bklkit.oracle import down_moves, move_closure_reaches
+from bklkit.fock import wt_signature
 from bklkit.verify import (
     _sequences,
     adjacent_positions,
@@ -34,6 +33,45 @@ from bklkit.verify import (
 
 def brute_sharp(b, f, a, j):
     return sum(b.sign(i) for i in range(j, len(b) + 1) if f[i - 1] <= a)
+
+
+def down_moves(b: SignedSeq, f: tuple) -> set:
+    """All g with f moving down to g by one elementary move."""
+    bits = b.bits
+    p = len(bits)
+    out = set()
+    for i in range(p):
+        for j in range(i + 1, p):
+            if bits[i] == bits[j]:
+                if bits[i] == 0 and f[i] > f[j] or bits[i] == 1 and f[i] < f[j]:
+                    g = list(f)
+                    g[i], g[j] = g[j], g[i]
+                    out.add(tuple(g))
+            elif f[i] == f[j]:
+                g = list(f)
+                g[i] -= 1 if bits[i] == 0 else -1
+                g[j] += 1 if bits[j] == 0 else -1
+                out.add(tuple(g))
+    return out
+
+
+def move_closure_reaches(b: SignedSeq, f: tuple, g: tuple) -> bool:
+    """Diagnostic: is g reachable from f by chains of down moves?
+
+    Strictly weaker than bruhat_leq for general sequences.
+    """
+    seen = {f}
+    frontier = [f]
+    bound = max(max(abs(v) for v in f), max(abs(v) for v in g))
+    while frontier:
+        h = frontier.pop()
+        if h == g:
+            return True
+        for x in down_moves(b, h):
+            if x not in seen and all(abs(v) <= bound for v in x):
+                seen.add(x)
+                frontier.append(x)
+    return g in seen
 
 
 def test_bruhat_leq_matches_sharp_definition():
@@ -346,7 +384,7 @@ def test_frozen_records_compare_hash_and_print_by_their_fields():
     # the repr is read in error messages and in the verify report
     import copy
 
-    from bklkit.fock import Window
+    from bklkit.combinat import Window
 
     b = SignedSeq.parse("01")
     w = Window(b, 2)

@@ -7,8 +7,9 @@ from itertools import product
 
 import pytest
 
-from bklkit.combinat import SignedSeq, wt_signature
-from bklkit.fock import Window, _act_raw, _weight_classes, h0_apply, wedge_gather, wedge_project
+from bklkit.barinv import BarContext, wedge_gather
+from bklkit.combinat import SignedSeq, Window
+from bklkit.fock import _act_raw, _weight_classes, h0_apply, wedge_project, wt_signature
 from bklkit.oracle import hecke_act, q_power, wedge_embed
 from bklkit.scalars import Laurent, ONE, Z_QMQINV, addmul
 
@@ -152,8 +153,6 @@ def test_h0_image_is_eigen():
 
 def test_h0_bar_invariance():
     # bar(H0) = H0, witnessed through bar(M_min H0) = bar(M_min) H0
-    from bklkit.barinv import BarContext
-
     w = Window(SignedSeq.parse("00"), 2)
     ctx = BarContext(w)
     for f in [(1, 0), (0, -1), (2, 1)]:

@@ -5,8 +5,7 @@ import pytest
 
 from bklkit import oracle
 from bklkit.barinv import BarContext
-from bklkit.combinat import SignedSeq
-from bklkit.fock import Window
+from bklkit.combinat import SignedSeq, Window
 from bklkit.oracle import (
     HeckeElt,
     brute_bar_uniqueness,

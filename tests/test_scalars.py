@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bklkit.barinv import BarContext
-from bklkit.combinat import SignedSeq
-from bklkit.fock import Window
+from bklkit.combinat import SignedSeq, Window
 from bklkit.scalars import (
     Laurent,
     ONE,
-    Q,
-    QINV,
     ZERO,
     Z_QMQINV,
     addmul,
@@ -17,6 +14,9 @@ from bklkit.scalars import (
     unpack,
 )
 from bklkit.oracle import q_power
+
+Q = Laurent({1: 1})
+QINV = Laurent({-1: 1})
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),

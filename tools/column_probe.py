@@ -48,8 +48,7 @@ import time
 
 from bklkit.barinv import BarContext, BarTable
 from bklkit.canonical import CANONICAL, DUAL, BklTable, engine
-from bklkit.combinat import SignedSeq, parse_weight
-from bklkit.fock import Window
+from bklkit.combinat import SignedSeq, Window, parse_weight
 
 
 def _sha256(obj) -> str:

@@ -42,8 +42,7 @@ from itertools import product
 
 from bklkit import cli
 from bklkit.canonical import CANONICAL, DUAL, BklTable
-from bklkit.combinat import SignedSeq
-from bklkit.fock import Window
+from bklkit.combinat import SignedSeq, Window
 
 
 def windows():
