@@ -316,8 +316,8 @@ class BarTable:
         in-window pairs stay in the window).
 
         The sums run in integers by Kronecker substitution: each distinct
-        value v (by id) packs once as P(v) = v(2^B) 2^(B E) (scalars.pack),
-        E the largest |exponent| in the table, and bar(v) likewise, so a term
+        value v packs once as P(v) = v(2^B) 2^(B E) (scalars.pack), E the
+        largest |exponent| in the table, and bar(v) likewise, so a term
         r_{gh} bar(r_{hf}) is the product of two ints, and a sum s packs as
         s(2^B) 2^(2 B E), a polynomial in 2^B with exponents in [0, 4E].
         Every coefficient of every partial sum, and of a sum minus delta, is
@@ -329,34 +329,55 @@ class BarTable:
         top nonzero term outweighs all lower ones), so each packed test
         below is exact, and a defect decodes back by balanced base-2^B
         digits (scalars.unpack).
+
+        No term is multiplied in the sums: each of the V distinct values
+        (equal polynomials share one) gets an id, P(v_i) P(bar v_j) is
+        computed once per pair (V^2 ints below 2^(B (4E + 2)); V is 5-93 on
+        the bench's bar-tables windows, 156 on 00110 at k=3), and a term is
+        one read from that table.  A partial sum that reaches 0 leaves the
+        accumulator and re-enters it at the end, as a Laurent-valued sum
+        does, so the first defect reported does not depend on the encoding.
         """
         rows = self.rows
-        values = {id(c): c for row in rows.values() for c in row.values()}
-        span = max((abs(e) for c in values.values() for e in c.c), default=0)
-        top = max((sum(map(abs, c.c.values())) for c in values.values()), default=0)
+        vids: dict = {}  # id of a value -> its value id
+        distinct: dict = {}  # value -> its value id, one per distinct value
+        serial: dict = {}  # index -> its serial, in order of first sight
+        flat: dict = {}  # h -> [(serial of g, value id of r_gh), ...]
+        for h, row in rows.items():
+            entries = flat[h] = []
+            for g, c in row.items():
+                i = vids.get(id(c))
+                if i is None:
+                    i = vids[id(c)] = distinct.setdefault(c, len(distinct))
+                entries.append((serial.setdefault(g, len(serial)), i))
+        values = list(distinct)
+        span = max((abs(e) for c in values for e in c.c), default=0)
+        top = max((sum(map(abs, c.c.values())) for c in values), default=0)
         reach = max(map(len, rows.values()), default=0) * top
         base = (reach * top + 1).bit_length() + 1
-        packs = {i: pack(c, base, span) for i, c in values.items()}
-        bars = {i: pack(c.bar(), base, span) for i, c in values.items()}
+        packs = [pack(c, base, span) for c in values]
+        # products[j][i] = P(v_i) P(bar v_j): every term of every sum below
+        products = [[p * b for p in packs] for b in (pack(c.bar(), base, span) for c in values)]
         one = 1 << (2 * base * span)
         for f, row_f in rows.items():
-            acc: dict = {}  # g -> its packed sum
+            acc: dict = {}  # serial of g -> its packed sum
             for h, rhf in row_f.items():
-                row_h = rows.get(h)
+                row_h = flat.get(h)
                 if row_h is None:
                     continue
-                b = bars[id(rhf)]
-                for g, rgh in row_h.items():
-                    x = acc.get(g, 0) + packs[id(rgh)] * b
+                prod = products[vids[id(rhf)]]
+                for g, i in row_h:
+                    x = acc.get(g, 0) + prod[i]
                     if x:
                         acc[g] = x
                     else:
                         acc.pop(g, None)
-            if acc.get(f) != one:
-                return (f, f, unpack(acc.get(f, 0), base, 2 * span))
+            sf = serial.get(f)
+            if acc.get(sf) != one:
+                return (f, f, unpack(acc.get(sf, 0), base, 2 * span))
             for g, x in acc.items():
-                if g != f:
-                    return (g, f, unpack(x, base, 2 * span))
+                if g != sf:
+                    return (list(serial)[g], f, unpack(x, base, 2 * span))
         return None
 
     def to_json(self) -> dict:

@@ -312,6 +312,36 @@ def test_involution_defect_reports_an_extra_off_diagonal_term():
         assert got is not None and got == reference_involution_defect(bad.rows), (f, g)
 
 
+def test_involution_defect_takes_a_stored_zero_value():
+    t = bar_table(Window(SignedSeq.parse("01"), 2))
+    for f in [next(iter(t.rows)), (0, 0), (2, 2)]:
+        bad = corrupted(t, f, (1, 2), ZERO)
+        assert bad.involution_defect() == reference_involution_defect(bad.rows) is None, f
+
+
+def test_involution_defect_reports_the_first_of_several_defects():
+    # two corrupt entries of one row leave several nonzero sums; the first
+    # reported is the first in the order the sums were entered, as in
+    # the Laurent-valued reference
+    q = Laurent({1: 1})
+    t3 = bar_table(Window(SignedSeq.parse("010"), 1))
+    f = (1, 1, 0)
+    bad = corrupted(corrupted(t3, f, (0, 0, 0), q), f, (-1, 1, 1), q)
+    assert bad.involution_defect() == reference_involution_defect(bad.rows)
+    assert bad.involution_defect() == ((0, 1, 1), f, Laurent({2: 1, 0: -1}))
+    # a wedge table, whose rows are in basis order, not in build order
+    tw = bar_table(Window(SignedSeq.parse("01"), 2, ("V", 2)))
+    f = (0, -2, -1, -2)
+    bad = corrupted(corrupted(tw, f, (-1, 2, 2, 0), q), f, (0, 0, 0, -1), q)
+    assert bad.involution_defect() == reference_involution_defect(bad.rows)
+    assert bad.involution_defect() == ((-2, -2, 0, -1), f, Laurent({1: -1, -1: 1}))
+    # a partial sum at (-1, 0, 0) reaches 0 and re-enters after (-1, 1, 1),
+    # so a sum that kept its zeros in place would report (-1, 0, 0) first
+    bad = corrupted(t3, (0, 0, -1), (-1, 0, 0), Z_QMQINV)
+    assert bad.involution_defect() == reference_involution_defect(bad.rows)
+    assert bad.involution_defect()[0] == (-1, 1, 1)
+
+
 def test_check_unitriangular_rejects_a_non_lower_entry():
     t = bar_table(Window(SignedSeq.parse("01"), 2))
     f = next(iter(t.rows))
