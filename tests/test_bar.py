@@ -327,19 +327,19 @@ def test_involution_defect_reports_the_first_of_several_defects():
     t3 = bar_table(Window(SignedSeq.parse("010"), 1))
     f = (1, 1, 0)
     bad = corrupted(corrupted(t3, f, (0, 0, 0), q), f, (-1, 1, 1), q)
-    assert bad.involution_defect() == reference_involution_defect(bad.rows)
-    assert bad.involution_defect() == ((0, 1, 1), f, Laurent({2: 1, 0: -1}))
+    got = bad.involution_defect()
+    assert got == reference_involution_defect(bad.rows) == ((0, 1, 1), f, Laurent({2: 1, 0: -1}))
     # a wedge table, whose rows are in basis order, not in build order
     tw = bar_table(Window(SignedSeq.parse("01"), 2, ("V", 2)))
     f = (0, -2, -1, -2)
     bad = corrupted(corrupted(tw, f, (-1, 2, 2, 0), q), f, (0, 0, 0, -1), q)
-    assert bad.involution_defect() == reference_involution_defect(bad.rows)
-    assert bad.involution_defect() == ((-2, -2, 0, -1), f, Laurent({1: -1, -1: 1}))
+    got = bad.involution_defect()
+    assert got == reference_involution_defect(bad.rows) == ((-2, -2, 0, -1), f, Laurent({1: -1, -1: 1}))
     # a partial sum at (-1, 0, 0) reaches 0 and re-enters after (-1, 1, 1),
     # so a sum that kept its zeros in place would report (-1, 0, 0) first
     bad = corrupted(t3, (0, 0, -1), (-1, 0, 0), Z_QMQINV)
-    assert bad.involution_defect() == reference_involution_defect(bad.rows)
-    assert bad.involution_defect()[0] == (-1, 1, 1)
+    got = bad.involution_defect()
+    assert got == reference_involution_defect(bad.rows) and got[0] == (-1, 1, 1)
 
 
 def test_check_unitriangular_rejects_a_non_lower_entry():
