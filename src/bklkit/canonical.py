@@ -26,15 +26,15 @@ stay on the engine, and widening re-packs the stored push lists
 engine(window) caches the engines of the two most recently used windows,
 enough for every pair of windows a check alternates between (k and k+1
 in the truncation suite, a wedge window and its extension, b and its odd
-swap).  bkl asks the cache for the level k+1 engine only.  It solves the
-column there first, then the k column in that engine's below(): an
-engine the k+1 engine owns, which builds no bar row.  Its push lists are
-the k+1 engine's lists filtered to the k-box, because a bar row at level
-k is the k-box restriction of the same row at level k+1 (the canonical
-bases are stable under truncation).  An engine's bar rows share their
-values and index tuples through its BarContext (see barinv); its push
-lists and columns reuse those tuples and values, and a column holds one
-object per distinct entry value and kind.
+swap).  bkl, wedge_bkl and char each solve a column once, in the engine
+of their own window: the k-box is order-convex in the Bruhat order, so
+the column at level k is the column at any higher level cut to the box
+(CONVENTIONS.md, "Truncation").  bkl then checks every push list its
+column was built from for Bruhat descent, which the engine's key-order
+test does not decide.  An engine's bar rows share their values and index
+tuples through its BarContext (see barinv); its push lists and columns
+reuse those tuples and values, and a column holds one object per
+distinct entry value and kind.
 
 The column witnesses (tensor against wedge, adjacent pairs, super duality,
 truncation and shift) are in verify, which bkl and char do not load.
@@ -46,8 +46,8 @@ from heapq import heappop, heappush
 from math import comb
 
 from .barinv import BarContext, wedge_bar_row
-from .combinat import SignedSeq, Window, bruhat_leq, format_weight
-from .scalars import ONE, ZERO, pack, unpack
+from .combinat import SharpPack, SignedSeq, Window, bruhat_leq, format_weight
+from .scalars import ONE, pack, unpack
 
 CANONICAL = "canonical"
 DUAL = "dual"
@@ -108,16 +108,13 @@ class BklEngine:
         self._bits = (side**window.tensor_len * comb(side, window.wedge_len)).bit_length()
         self._num: dict = {}  # index -> its id
         self._idx: dict = {}  # id -> index
-        self._start(_LANES)
-
-    def _start(self, lanes: tuple) -> None:
         self._columns: dict = {}
         # id of g -> the push list of g, [id of h, r_hg, pack(r_hg, B, O), ...]
         # over the bar row of g without its diagonal
         self._pushes: dict = {}
         # the solve's lanes (bits per coefficient, offset of the exponents),
         # widened as columns need and kept for the engine's lifetime
-        self._lanes = lanes
+        self._lanes = _LANES
         # id of a bar-row value -> its pack at the lanes; ids stay valid
         # because the BarContext pools every row value it stores (see
         # barinv) for as long as the engine lives
@@ -126,7 +123,6 @@ class BklEngine:
         # per kind, the lanes e >= 0 of a popped pending sum s = p - bar(p)
         # -> (the packed s that p solves, t, pt, st, L1(t))
         self._decoded: dict = {CANONICAL: {}, DUAL: {}}
-        self._below = None  # the engine of the box one level down, once built
 
     def key(self, g: tuple) -> int:
         """The linear order key sum_i (i+1) s_i g_i, s_i = (-1)^{b_i} (0-based i).
@@ -173,19 +169,11 @@ class BklEngine:
         if not self.window.valid_index(f):
             raise ValueError(f"index {f} not in window {self.window}")
 
-    def below(self) -> "BklEngine":
-        """The engine of the box one level down, solving over this engine's
-        push lists (a bar row at level k is the k-box restriction of the
-        same row at level k + 1).  Built once; this engine owns it."""
-        if self._below is None:
-            self._below = _BoxEngine(self)
-        return self._below
-
     def _push_list(self, n: int) -> list:
         """The push list of the index f with id n, built from its bar row.
 
         The row is checked here, once: diagonal 1 and every other entry at
-        a larger key than f.  Key order only: BarTable.check_unitriangular
+        a larger key than f.  Key order only: bkl, BarTable.check_unitriangular
         and suite_triangularity test Bruhat descent.  A tensor row, or the
         extended row of a wedge row, is taken out of the context, so the
         engine keeps the row in this form only.
@@ -313,50 +301,6 @@ class BklEngine:
         return {f: self.column(f, kind).entries for f in self.window.basis()}
 
 
-class _BoxEngine(BklEngine):
-    """Columns over the box one level below an engine's tensor window.
-
-    It shares the bigger engine's context and index ids, and builds each
-    push list by filtering the bigger engine's list of the same id to the
-    box: box membership is decided once per id.  That list was checked
-    when the bigger engine built it, and a subset of it keeps the key
-    order.  The engine packs in lanes of its own, starting from the
-    bigger engine's.
-    """
-
-    def __init__(self, big: BklEngine):
-        w = big.window
-        if w.wedge is not None:
-            raise ValueError("a box engine works below a tensor window")
-        self.window = Window(w.b, w.k - 1)
-        self.bext, self._big = big.bext, big
-        self._ctx, self._weights, self._bits = big._ctx, big._weights, big._bits
-        self._num, self._idx = big._num, big._idx
-        self._inbox: dict = {}  # id -> whether its index lies in the box
-        self._start(big._lanes)
-
-    def _push_list(self, n: int) -> list:
-        big = self._big
-        whole = big._pushes.get(n)
-        if whole is None:
-            whole = big._push_list(n)
-        inbox, idx, k = self._inbox, self._idx, self.window.k
-        lanes = self._lanes
-        pack_at = self._pack
-        push: list = []
-        it = iter(whole)
-        for h, r, _ in zip(it, it, it):
-            ok = inbox.get(h)
-            if ok is None:
-                ok = inbox[h] = _in_box(idx[h], k)
-            if ok:
-                push += (h, r, pack_at(r))
-        if self._lanes != lanes:  # widened mid-build: re-pack what was packed before
-            self._repack(push)
-        self._pushes[n] = push
-        return push
-
-
 @lru_cache(maxsize=2)
 def engine(window: Window) -> BklEngine:
     """The engine of a window; the two most recently used ones stay cached."""
@@ -381,22 +325,39 @@ def bkl(
     kind: str,
     k: int | None = None,
 ) -> BklColumn:
-    """A BKL column over the tensor window, with auto-selected level.
+    """A BKL column over the tensor window of level k (auto_level if None).
 
-    The column is always checked for stability: it is solved one window
-    size up first, then at level k over the rows of level k + 1 restricted
-    to the k-box, and the entries in the k-box must agree.  The check
-    compares two solves over one row set; the truncation suite of verify
-    (truncation_consistent_tensor) compares two separately built ones.
+    Solved once, in the cached engine of the window, as wedge_bkl and char
+    solve theirs: the k-box is order-convex in the Bruhat order
+    (CONVENTIONS.md, "Truncation"), so a solve one level up, cut to the
+    box, gives the same column.  Then every entry of every push list the
+    column was built from must lie Bruhat-below its row's index, tested
+    through one SharpPack of the window; the engine tests key order only.
+    The truncation suite of verify (truncation_consistent_tensor) compares
+    the columns of two separately built row sets.
     """
-    f = tuple(f)
-    k = query_window(b, f, k).k
-    big = engine(Window(b, k + 1))
-    small = big.below()
-    small._check(f, kind)
-    whole = big.column(f, kind)
-    col = small.column(f, kind)
-    _agree(col.entries, whole.entries, lambda g: _in_box(g, k), f"tensor truncation of f={f}")
+    eng = engine(query_window(b, tuple(f), k))
+    col = eng.column(f, kind)
+    k = eng.window.k
+    order = SharpPack(eng.bext, -k, k)
+    guard, mask = order.guard, order.mask
+    num, idx, pushes = eng._num, eng._idx, eng._pushes
+    packs: dict = {}  # id -> the SharpPack of its index
+    for g in col.entries:
+        n = num[g]
+        pg = packs.get(n)
+        if pg is None:
+            pg = packs[n] = order.pack(g)
+        top = guard + pg  # SharpPack.leq(ph, pg), inlined
+        it = iter(pushes[n])
+        for m, r, _ in zip(it, it, it):
+            ph = packs.get(m)
+            if ph is None:
+                ph = packs[m] = order.pack(idx[m])
+            if (top - ph) & mask != guard:
+                raise TriangularityError(
+                    f"bar data at g={idx[m]} is not Bruhat-below {g} in the column of f={col.f}: r={r!r}"
+                )
     return col
 
 
@@ -410,19 +371,6 @@ def wedge_bkl(
 ) -> BklColumn:
     """A BKL column over a finite q-wedge window (flat index f)."""
     return engine(query_window(b, f, k, (side, kw))).column(tuple(f), kind)
-
-
-def _in_box(g: tuple, k: int) -> bool:
-    return all(abs(v) <= k for v in g)
-
-
-def _agree(a: dict, b: dict, keep, what: str) -> None:
-    """Raise at the first key kept by keep (None: all) where a and b differ."""
-    for g in [*a, *(g for g in b if g not in a)]:
-        if keep is None or keep(g):
-            x, y = a.get(g, ZERO), b.get(g, ZERO)
-            if x != y:
-                raise AssertionError(f"{what}: mismatch at g={g}: {x!r} != {y!r}")
 
 
 # ---------------------------------------------------------------------------

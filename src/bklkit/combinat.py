@@ -194,29 +194,35 @@ class SharpPack:
     pack(g), GUARD the top bit of every lane, holds 2^(W-1) + d in each lane
     with no carry or borrow between lanes.  The top bit of a lane of D is
     set iff d >= 0, and the lane equals 2^(W-1) iff d = 0, which the j = 1
-    lanes (mask EQ) must satisfy.  bruhat_leq stays the reference scan and
-    the path for single comparisons.
+    lanes must satisfy.  So g <= f iff D & MASK == GUARD, MASK the guard
+    bits and every bit of the j = 1 lanes; callers that test many pairs
+    inline that expression.  bruhat_leq stays the reference scan and the
+    path for single comparisons.
+
+    Lane (a, j) starts at bit W ((a - lo) p + j - 1).  The tables take
+    O(p (hi - lo)) big-int adds: per i, the units of lanes j <= i at one
+    level, shifted to each level and summed from hi down.
     """
 
     def __init__(self, b: SignedSeq, lo: int, hi: int):
         bits = b.bits
         p = len(bits)
         width = p.bit_length() + 1
-        unit = {}  # (a, j) -> the low bit of its lane
-        for a in range(lo, hi):
-            for j in range(1, p + 1):
-                unit[a, j] = 1 << (width * len(unit))
+        stride = width * p  # the bits of one level a
+        first = sum(1 << (stride * a) for a in range(hi - lo))  # a unit in every lane (a, 1)
         self.lo, self.hi, self.p = lo, hi, p
-        self.guard = sum(u << (width - 1) for u in unit.values())
-        eq = sum(((1 << width) - 1) * unit[a, 1] for a in range(lo, hi)) if p else 0
-        self.eq_guard, self.eq = self.guard & eq, eq
+        self.guard = first * sum(1 << (width * j + width - 1) for j in range(p))
+        self.mask = self.guard | ((1 << width) - 1) * first
         self._tables = []
-        for i in range(1, p + 1):
-            s = -1 if bits[i - 1] else 1
-            self._tables.append([
-                s * sum(unit[a, j] for a in range(v, hi) for j in range(1, i + 1))
-                for v in range(lo, hi + 1)
-            ])
+        column = 0  # a unit in lanes (lo, j) for j <= i
+        for i in range(p):
+            column += 1 << (width * i)
+            acc, table = 0, [0]  # table[v - lo] for v = hi down to lo
+            for a in range(hi - lo - 1, -1, -1):
+                acc += column << (stride * a)
+                table.append(acc)
+            table.reverse()
+            self._tables.append([-t for t in table] if bits[i] else table)
 
     def pack(self, g: Weight) -> int:
         if len(g) != self.p:
@@ -228,8 +234,7 @@ class SharpPack:
 
     def leq(self, pg: int, pf: int) -> bool:
         """g <= f, given pg = pack(g) and pf = pack(f)."""
-        d = self.guard + pf - pg
-        return d & self.guard == self.guard and d & self.eq == self.eq_guard
+        return (self.guard + pf - pg) & self.mask == self.guard
 
 
 # ---------------------------------------------------------------------------

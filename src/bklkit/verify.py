@@ -7,7 +7,8 @@ counterexample in its detail string.
 
 The witnesses the suites call, which bkl and char never run, follow the
 suites; the bar-map equivariance check sits before its suite, and so do
-_sequences and the degree test _in_degrees.  The slot swap of a mixed pair
+_sequences, the column comparison _agree with its box test _in_box, and
+the degree test _in_degrees.  The slot swap of a mixed pair
 (swap, swap_slots) heads the adjacent-pair section.
 """
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .canonical import (
     DUAL,
     BklEngine,
     TriangularityError,
-    _agree,
-    _in_box,
     auto_level,
     engine,
     wedge_bkl,
@@ -77,6 +76,19 @@ def _sequences(max_rank: int, min_rank: int = 0):
         for m in range(rank + 1):
             for ones in combinations(range(rank), rank - m):
                 yield SignedSeq(tuple(int(i in ones) for i in range(rank)))
+
+
+def _in_box(g: tuple, k: int) -> bool:
+    return all(abs(v) <= k for v in g)
+
+
+def _agree(a: dict, b: dict, keep, what: str) -> None:
+    """Raise at the first key kept by keep (None: all) where a and b differ."""
+    for g in [*a, *(g for g in b if g not in a)]:
+        if keep is None or keep(g):
+            x, y = a.get(g, ZERO), b.get(g, ZERO)
+            if x != y:
+                raise AssertionError(f"{what}: mismatch at g={g}: {x!r} != {y!r}")
 
 
 def _partitions_up_to(n: int):
@@ -929,7 +941,7 @@ def truncation_consistent_tensor(
     """Level-(k+1) column restricted to the k-box equals the k-column.
 
     The two columns come from the cached engines of both windows, each
-    over bar rows of its own; bkl's check solves both over one row set.
+    over bar rows of its own.
     """
     small = engine(Window(b, k)).column(tuple(f), kind).entries
     big = engine(Window(b, k + 1)).column(tuple(f), kind).entries

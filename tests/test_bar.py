@@ -125,9 +125,11 @@ def test_involution_identity_geometric_series():
 def test_stability_in_k():
     # pi_k of the bigger table equals the smaller table on shared rows: a
     # bar row at level k is the k-box restriction of the same row at a
-    # higher level, which bkl's stability check solves over.  k against
-    # k + 1 for every sequence with m+n <= 3 at k <= 3, and k = 2 against
-    # k = 4 on two sequences
+    # higher level, so the solves at both levels read the same rows on the
+    # box, and the k-box is order-convex (CONVENTIONS.md, "Truncation"):
+    # bkl's column at level k is the bigger column cut to the box.  k
+    # against k + 1 for every sequence with m+n <= 3 at k <= 3, and k = 2
+    # against k = 4 on two sequences
     cases = [
         (bits, k, k + 1)
         for size in range(1, 4)

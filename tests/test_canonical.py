@@ -178,20 +178,22 @@ def test_engine_cache_keeps_the_two_most_recent_windows():
 
 
 def test_bkl_stability_check_reuses_the_k_engine():
+    # bkl solves once, in the engine of its own window, and its one check
+    # (Bruhat descent over the rows the column was built from) reads that
+    # engine's push lists: one miss, for the k window, and no engine of
+    # level k + 1
     engine.cache_clear()
     b, f = SignedSeq.parse("01"), (1, 1)
     k = auto_level(b, f)
     col = bkl(b, f, DUAL)
-    # one miss, for the k+1 window: the k column is solved by the engine
-    # that the k+1 engine owns, over the k+1 engine's push lists
     assert engine.cache_info().misses == 1
-    big = engine(Window(b, k + 1))
     assert col.window == Window(b, k)
-    assert col is big.below().column(f, DUAL)
+    assert col is engine(Window(b, k)).column(f, DUAL)
     assert bkl(b, f, DUAL) is col
     assert engine.cache_info().misses == 1
-    # the same column as an engine that builds its own k-level rows
-    assert col.entries == engine(Window(b, k)).column(f, DUAL).entries
+    # the same column as an engine one level up, cut to the k-box
+    whole = BklEngine(Window(b, k + 1)).column(f, DUAL).entries
+    assert col.entries == {g: c for g, c in whole.items() if max(map(abs, g)) <= k}
 
 
 def test_bar_rows_share_values_and_index_tuples():
@@ -249,41 +251,38 @@ def test_taking_the_row_of_an_empty_index_keeps_the_root_row():
     assert eng._ctx.row(()) == {(): ONE}
 
 
-def test_box_engine_columns_match_engines_that_build_their_own_rows():
-    # every canonical and dual column of every tensor window with m+n <= 3
-    # at k <= 2, solved over the k+1 engine's push lists restricted to the
-    # k-box, against an engine of the k window
+def test_bkl_columns_are_the_bigger_columns_cut_to_the_box():
+    # what bkl's old stability check compared, now a statement: every
+    # canonical and dual column of every tensor window with m+n <= 3 at
+    # k <= 2 equals the column of an engine one level up, which builds its
+    # own rows, restricted to the k-box
     wins, n = list(candidate_windows(3, 2, 0, 0, 0)), 0
     for win in wins:
         big = BklEngine(Window(win.b, win.k + 1))
-        small, own = big.below(), BklEngine(win)
-        assert small.window == win and small._ctx is big._ctx
         for f in win.basis():
             for kind in (CANONICAL, DUAL):
-                assert small.column(f, kind).entries == own.column(f, kind).entries, (win, f)
+                whole = big.column(f, kind).entries
+                cut = {g: c for g, c in whole.items() if max(map(abs, g)) <= win.k}
+                assert bkl(win.b, f, kind, k=win.k).entries == cut, (win, f, kind)
                 n += 1
-        # each box push list is the k+1 list of its id, filtered to the box
-        for m, push in small._pushes.items():
-            whole = big._pushes[m]
-            kept = [i for i in range(0, len(whole), 3) if small._inbox[whole[i]]]
-            assert push == [x for i in kept for x in whole[i : i + 3]]
-            assert all(max(map(abs, small._idx[h])) <= win.k for h in push[::3])
     assert len(wins) == 28 and n == 2 * sum(sum(1 for _ in w.basis()) for w in wins)
 
 
-def test_a_box_engine_packs_in_its_own_lanes():
-    # the box column is solved first, so it builds the rows of the bigger
-    # engine as it pops them; both widen, each in its own lanes
-    f = (6, 6, 6, 6)
-    big = BklEngine(Window(SignedSeq.parse("0011"), 7))
-    small = big.below()
+def test_engines_of_two_levels_pack_in_their_own_lanes():
+    # the dual column of f at levels 6 and 7, from two engines that build
+    # their own rows: both widen, each in its own lanes, and the columns
+    # agree on the 6-box
+    b, f = SignedSeq.parse("0011"), (6, 6, 6, 6)
+    small, big = BklEngine(Window(b, 6)), BklEngine(Window(b, 7))
     col = small.column(f, DUAL).entries
-    assert col == BklEngine(Window(SignedSeq.parse("0011"), 6)).column(f, DUAL).entries
-    assert small._lanes != _LANES
-    base, off = small._lanes
-    for push in small._pushes.values():
-        assert push[2::3] == [pack(r, base, off) for r in push[1::3]]
-    assert bkl(SignedSeq.parse("0011"), f, DUAL, k=6).entries == col
+    whole = big.column(f, DUAL).entries
+    assert col == {g: c for g, c in whole.items() if max(map(abs, g)) <= 6}
+    for eng in (small, big):
+        assert eng._lanes != _LANES
+        base, off = eng._lanes
+        for push in eng._pushes.values():
+            assert push[2::3] == [pack(r, base, off) for r in push[1::3]]
+    assert bkl(b, f, DUAL, k=6).entries == col
 
 
 def test_bkl_rejects_an_index_outside_the_k_box_before_solving():
@@ -291,19 +290,20 @@ def test_bkl_rejects_an_index_outside_the_k_box_before_solving():
     b = SignedSeq.parse("01")
     with pytest.raises(ValueError, match=r"index \(3, 0\) not in window"):
         bkl(b, (3, 0), DUAL, k=2)
-    assert engine(Window(b, 3))._columns == {}
+    assert engine(Window(b, 2))._columns == {}
 
 
-def test_a_box_engine_is_for_tensor_windows_above_level_1():
-    with pytest.raises(ValueError, match="below a tensor window"):
-        BklEngine(Window(SignedSeq.parse("0"), 2, ("V", 1))).below()
+def test_bkl_levels_start_at_1():
+    b = SignedSeq.parse("01")
+    assert bkl(b, (1, 0), DUAL, k=1).window == Window(b, 1)
     with pytest.raises(ValueError, match="must be positive"):
-        BklEngine(Window(SignedSeq.parse("01"), 1)).below()
+        bkl(b, (0, 0), DUAL, k=0)
 
 
 def test_truncation_check_compares_two_separately_built_row_sets(monkeypatch):
-    # bkl solves its k column over the k+1 engine's rows; the truncation
-    # suite of verify still compares two engines that build their own rows
+    # bkl solves its k column once, in the k engine; the truncation suite
+    # of verify compares it with the column of a k+1 engine that builds
+    # rows of its own
     engine.cache_clear()
     b, f, k = SignedSeq.parse("010"), (1, 0, 1), 2
     col = bkl(b, f, DUAL, k=k)
@@ -319,7 +319,7 @@ def test_truncation_check_compares_two_separately_built_row_sets(monkeypatch):
     small, big = seen
     assert type(small) is BklEngine and type(big) is BklEngine
     assert (small.window.k, big.window.k) == (k, k + 1)
-    assert small._ctx is not big._ctx and small is not big.below()
+    assert small._ctx is not big._ctx
     assert small._pushes and small._num is not big._num
     assert small.column(f, DUAL).entries == col.entries
 
@@ -417,29 +417,32 @@ def test_a_column_that_outgrows_the_lanes_is_solved_in_wider_ones():
     assert eng._lanes == lanes
 
 
-def test_bkl_stability_check_catches_a_corrupt_bigger_column(monkeypatch):
-    b, f, k = SignedSeq.parse("01"), (1, 1), 3
-    big = engine(Window(b, k + 1))
-    good = big.column(f, DUAL)
-    below = next(g for g in good.entries if g != f)
-    extra = next(g for g in product(range(-k, k + 1), repeat=2) if g not in good.entries)
+def test_bkl_refuses_a_row_entry_that_is_not_bruhat_below(monkeypatch):
+    # (-2, -1) has a larger key than (1, 1) and is not below it, so the
+    # engine's key-order test lets a planted entry through and the solve
+    # gives it a coefficient; bkl checks every row its column was built
+    # from for Bruhat descent and refuses it
+    b, f, g = SignedSeq.parse("01"), (1, 1), (-2, -1)
+    eng = BklEngine(Window(b, 2))
+    assert eng.key(g) > eng.key(f) and not bruhat_leq(b, g, f)
+    take = BarContext.take
 
-    def corrupt(entries):
-        col = BklColumn(good.window, f, DUAL, entries)
-        monkeypatch.setattr(big, "_columns", {**big._columns, (f, DUAL): col})
+    def planted(self, h):
+        row = take(self, h)
+        if h == f:
+            row[g] = Z_QMQINV
+        return row
 
-    # an entry outside the k-box is not compared
-    corrupt({**good.entries, (k + 1, k + 1): ONE})
-    assert bkl(b, f, DUAL, k=k).entries == engine(Window(b, k)).column(f, DUAL).entries
-    # a changed shared entry, a dropped one and an extra one inside the box
-    for entries in (
-        {**good.entries, below: good.entries[below] + q_power(-7)},
-        {g: c for g, c in good.entries.items() if g != below},
-        {**good.entries, extra: ONE},
-    ):
-        corrupt(entries)
-        with pytest.raises(AssertionError, match="mismatch"):
-            bkl(b, f, DUAL, k=k)
+    monkeypatch.setattr(BarContext, "take", planted)
+    for kind in (CANONICAL, DUAL):
+        engine.cache_clear()
+        try:
+            # twice: the second call finds the column in the engine's memo
+            for _ in range(2):
+                with pytest.raises(TriangularityError, match=r"g=\(-2, -1\) is not Bruhat-below \(1, 1\)"):
+                    bkl(b, f, kind, k=2)
+        finally:
+            engine.cache_clear()
 
 
 def test_columns_are_bar_invariant():

@@ -130,6 +130,26 @@ def test_sharp_pack_matches_bruhat_leq_on_random_pairs():
                     assert order.leq(order.pack(x), order.pack(y)) == bruhat_leq(b, x, y), (b, x, y)
 
 
+def test_the_k_box_is_order_convex():
+    # no index outside the k-box lies between two indices inside it, so a
+    # solve from an index in the box never pops one outside it
+    # (CONVENTIONS.md, "Truncation"); every sequence with m+n <= 3 at
+    # k <= 2, against every index of the window two levels up
+    between = above = 0
+    for p in range(1, 4):
+        for bits in product((0, 1), repeat=p):
+            b = SignedSeq(bits)
+            for k in (1, 2):
+                order = SharpPack(b, -k - 2, k + 2)
+                packed = {g: order.pack(g) for g in product(range(-k - 2, k + 3), repeat=p)}
+                box = [pg for g, pg in packed.items() if max(map(abs, g)) <= k]
+                for g, pg in packed.items():
+                    if max(map(abs, g)) > k and any(order.leq(ph, pg) for ph in box):
+                        above += 1
+                        between += any(order.leq(pg, pf) for pf in box)
+    assert between == 0 and above == 200
+
+
 def test_sharp_pack_rejects_bad_indices():
     b = SignedSeq.parse("011")
     order = SharpPack(b, -2, 2)
