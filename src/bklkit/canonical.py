@@ -155,19 +155,16 @@ class BklEngine:
         hit = self._columns.get(memo)
         if hit is not None:
             return hit
-        self._check(f, kind)
+        if kind not in (CANONICAL, DUAL):
+            raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
+        if not self.window.valid_index(f):
+            raise ValueError(f"index {f} not in window {self.window}")
         out = self._solve(f, kind)
         while out is None:  # the column outgrew the lanes, which are wider now
             out = self._solve(f, kind)
         col = BklColumn(self.window, f, kind, out)
         self._columns[memo] = col
         return col
-
-    def _check(self, f: tuple, kind: str) -> None:
-        if kind not in (CANONICAL, DUAL):
-            raise ValueError(f"kind must be {CANONICAL!r} or {DUAL!r}")
-        if not self.window.valid_index(f):
-            raise ValueError(f"index {f} not in window {self.window}")
 
     def _push_list(self, n: int) -> list:
         """The push list of the index f with id n, built from its bar row.

@@ -252,7 +252,7 @@ def test_taking_the_row_of_an_empty_index_keeps_the_root_row():
 
 
 def test_bkl_columns_are_the_bigger_columns_cut_to_the_box():
-    # what bkl's old stability check compared, now a statement: every
+    # the truncation bkl relies on (CONVENTIONS.md, "Truncation"): every
     # canonical and dual column of every tensor window with m+n <= 3 at
     # k <= 2 equals the column of an engine one level up, which builds its
     # own rows, restricted to the k-box
