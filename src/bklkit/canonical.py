@@ -29,12 +29,15 @@ in the truncation suite, a wedge window and its extension, b and its odd
 swap).  bkl, wedge_bkl and char each solve a column once, in the engine
 of their own window: the k-box is order-convex in the Bruhat order, so
 the column at level k is the column at any higher level cut to the box
-(CONVENTIONS.md, "Truncation").  bkl then checks every push list its
-column was built from for Bruhat descent, which the engine's key-order
-test does not decide.  An engine's bar rows share their values and index
-tuples through its BarContext (see barinv); its push lists and columns
-reuse those tuples and values, and a column holds one object per
-distinct entry value and kind.
+(CONVENTIONS.md, "Truncation").  All three reach it through one path,
+BklEngine.query, which tests every push list the column was built from
+for Bruhat descent; the engine's key-order test does not decide it.
+Whole tables (BklEngine.table, BklTable) skip that walk: it would cost a
+table solve 8-10%, and verify's triangularity suite tests every column
+of the tables it solves for Bruhat descent.  An engine's bar rows share
+their values and index tuples through its BarContext (see barinv); its
+push lists and columns reuse those tuples and values, and a column holds
+one object per distinct entry value and kind.
 
 The column witnesses (tensor against wedge, adjacent pairs, super duality,
 truncation and shift) are in verify, which bkl and char do not load.
@@ -166,11 +169,41 @@ class BklEngine:
         self._columns[memo] = col
         return col
 
+    def query(self, f: tuple, kind: str) -> BklColumn:
+        """column(f, kind), once every push list it was built from passes
+        the Bruhat-descent test that _push_list's key-order test does not
+        decide: each entry must lie Bruhat-below its row's index.  Tested
+        through one SharpPack of the window, each id packed once, on every
+        call, memo hits included; table() does not run it.
+        """
+        col = self.column(f, kind)
+        k = self.window.k
+        order = SharpPack(self.bext, -k, k)
+        guard, mask = order.guard, order.mask
+        num, idx, pushes = self._num, self._idx, self._pushes
+        packs: dict = {}  # id -> the SharpPack of its index
+        for g in col.entries:
+            n = num[g]
+            pg = packs.get(n)
+            if pg is None:
+                pg = packs[n] = order.pack(g)
+            top = guard + pg  # SharpPack.leq(ph, pg), inlined
+            it = iter(pushes[n])
+            for m, r, _ in zip(it, it, it):
+                ph = packs.get(m)
+                if ph is None:
+                    ph = packs[m] = order.pack(idx[m])
+                if (top - ph) & mask != guard:
+                    raise TriangularityError(
+                        f"bar data at g={idx[m]} is not Bruhat-below {g} in the column of f={col.f}: r={r!r}"
+                    )
+        return col
+
     def _push_list(self, n: int) -> list:
         """The push list of the index f with id n, built from its bar row.
 
         The row is checked here, once: diagonal 1 and every other entry at
-        a larger key than f.  Key order only: bkl, BarTable.check_unitriangular
+        a larger key than f.  Key order only: query, BarTable.check_unitriangular
         and suite_triangularity test Bruhat descent.  A tensor row, or the
         extended row of a wedge row, is taken out of the context, so the
         engine keeps the row in this form only.
@@ -324,38 +357,14 @@ def bkl(
 ) -> BklColumn:
     """A BKL column over the tensor window of level k (auto_level if None).
 
-    Solved once, in the cached engine of the window, as wedge_bkl and char
-    solve theirs: the k-box is order-convex in the Bruhat order
-    (CONVENTIONS.md, "Truncation"), so a solve one level up, cut to the
-    box, gives the same column.  Then every entry of every push list the
-    column was built from must lie Bruhat-below its row's index, tested
-    through one SharpPack of the window; the engine tests key order only.
-    The truncation suite of verify (truncation_consistent_tensor) compares
-    the columns of two separately built row sets.
+    Solved once, in the cached engine of the window, and descent-checked
+    by BklEngine.query, as wedge_bkl and char are: the k-box is
+    order-convex in the Bruhat order (CONVENTIONS.md, "Truncation"), so a
+    solve one level up, cut to the box, gives the same column.  The
+    truncation suite of verify (truncation_consistent_tensor) compares the
+    columns of two separately built row sets.
     """
-    eng = engine(query_window(b, tuple(f), k))
-    col = eng.column(f, kind)
-    k = eng.window.k
-    order = SharpPack(eng.bext, -k, k)
-    guard, mask = order.guard, order.mask
-    num, idx, pushes = eng._num, eng._idx, eng._pushes
-    packs: dict = {}  # id -> the SharpPack of its index
-    for g in col.entries:
-        n = num[g]
-        pg = packs.get(n)
-        if pg is None:
-            pg = packs[n] = order.pack(g)
-        top = guard + pg  # SharpPack.leq(ph, pg), inlined
-        it = iter(pushes[n])
-        for m, r, _ in zip(it, it, it):
-            ph = packs.get(m)
-            if ph is None:
-                ph = packs[m] = order.pack(idx[m])
-            if (top - ph) & mask != guard:
-                raise TriangularityError(
-                    f"bar data at g={idx[m]} is not Bruhat-below {g} in the column of f={col.f}: r={r!r}"
-                )
-    return col
+    return engine(query_window(b, f, k)).query(f, kind)
 
 
 def wedge_bkl(
@@ -366,8 +375,9 @@ def wedge_bkl(
     kind: str,
     k: int | None = None,
 ) -> BklColumn:
-    """A BKL column over a finite q-wedge window (flat index f)."""
-    return engine(query_window(b, f, k, (side, kw))).column(tuple(f), kind)
+    """A BKL column over a finite q-wedge window (flat index f), solved and
+    descent-checked by BklEngine.query, as bkl's are."""
+    return engine(query_window(b, f, k, (side, kw))).query(f, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 For a Borel chosen by a 0^m1^n-sequence, the multiplicity of a Verma
 character in an irreducible (resp. tilting) character is the value at q=1
 of a dual-canonical (resp. canonical) coefficient, read through the
-weight <-> index dictionary.  Dual columns can have infinite support, so
-every expansion carries the window it was computed in; verify checks
-that they agree across odd reflections (odd_reflection_check).
+weight <-> index dictionary.  The column comes from bkl, so it is
+descent-checked like every query (canonical.BklEngine.query).  Dual
+columns can have infinite support, so every expansion carries the window
+it was computed in; verify checks that they agree across odd reflections
+(odd_reflection_check).
 """
 from __future__ import annotations
 
-from .canonical import CANONICAL, DUAL, engine, query_window
+from .canonical import CANONICAL, DUAL, bkl
 from .combinat import SignedSeq, f_to_weight, format_weight, weight_to_f
 
 IRREDUCIBLE = "irreducible"
@@ -42,14 +44,13 @@ class CharacterExpansion:
 def _expansion(b: SignedSeq, lam: tuple, kind: str, k: int | None) -> CharacterExpansion:
     lam = tuple(lam)
     f = weight_to_f(b, lam)
-    window = query_window(b, f, k)
-    col = engine(window).column(f, DUAL if kind == IRREDUCIBLE else CANONICAL)
+    col = bkl(b, f, DUAL if kind == IRREDUCIBLE else CANONICAL, k)
     terms = {}
     for g, c in col.entries.items():
         v = c.ev()
         if v:
             terms[f_to_weight(b, g)] = v
-    return CharacterExpansion(b, kind, lam, window.k, terms)
+    return CharacterExpansion(b, kind, lam, col.window.k, terms)
 
 
 def irreducible_character(b: SignedSeq, lam: tuple, k: int | None = None) -> CharacterExpansion:

@@ -195,9 +195,9 @@ class SharpPack:
     with no carry or borrow between lanes.  The top bit of a lane of D is
     set iff d >= 0, and the lane equals 2^(W-1) iff d = 0, which the j = 1
     lanes must satisfy.  So g <= f iff D & MASK == GUARD, MASK the guard
-    bits and every bit of the j = 1 lanes; callers that test many pairs
-    inline that expression.  bruhat_leq stays the reference scan and the
-    path for single comparisons.
+    bits and every bit of the j = 1 lanes; the one caller that tests many
+    pairs, BklEngine.query, inlines that expression.  bruhat_leq stays the
+    reference scan and the path for single comparisons.
 
     Lane (a, j) starts at bit W ((a - lo) p + j - 1).  The tables take
     O(p (hi - lo)) big-int adds: per i, the units of lanes j <= i at one

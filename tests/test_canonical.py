@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bklkit.barinv import BarContext
+from bklkit.barinv import BarContext, wedge_bar_row
 from bklkit.canonical import (
     _LANES,
     CANONICAL,
@@ -21,7 +21,8 @@ from bklkit.canonical import (
     engine,
     wedge_bkl,
 )
-from bklkit.combinat import SignedSeq, WedgeIndex, Window, bruhat_leq
+from bklkit.characters import irreducible_character, tilting_character
+from bklkit.combinat import SignedSeq, WedgeIndex, Window, bruhat_leq, f_to_weight
 from bklkit.fock import wt_signature
 from bklkit.oracle import q_power, rank2_forms
 from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul, pack
@@ -420,11 +421,15 @@ def test_a_column_that_outgrows_the_lanes_is_solved_in_wider_ones():
 def test_bkl_refuses_a_row_entry_that_is_not_bruhat_below(monkeypatch):
     # (-2, -1) has a larger key than (1, 1) and is not below it, so the
     # engine's key-order test lets a planted entry through and the solve
-    # gives it a coefficient; bkl checks every row its column was built
-    # from for Bruhat descent and refuses it
+    # gives it a coefficient; every query (bkl, char, wedge_bkl) checks
+    # every row its column was built from for Bruhat descent and refuses
+    # it.  The wedge row of (1, 1, 0) on 01, V:1, gets (-2, -2, 1) the same way.
     b, f, g = SignedSeq.parse("01"), (1, 1), (-2, -1)
-    eng = BklEngine(Window(b, 2))
-    assert eng.key(g) > eng.key(f) and not bruhat_leq(b, g, f)
+    wf, wg = (1, 1, 0), (-2, -2, 1)
+    for window, h, x in ((Window(b, 2), f, g), (Window(b, 2, ("V", 1)), wf, wg)):
+        eng = BklEngine(window)
+        assert window.valid_index(x) and eng.key(x) > eng.key(h)
+        assert not bruhat_leq(eng.bext, x, h)
     take = BarContext.take
 
     def planted(self, h):
@@ -433,14 +438,32 @@ def test_bkl_refuses_a_row_entry_that_is_not_bruhat_below(monkeypatch):
             row[g] = Z_QMQINV
         return row
 
+    def planted_wedge(window, ctx, h):
+        row = wedge_bar_row(window, ctx, h)
+        if h == wf:
+            row[wg] = Z_QMQINV
+        return row
+
     monkeypatch.setattr(BarContext, "take", planted)
-    for kind in (CANONICAL, DUAL):
+    monkeypatch.setattr("bklkit.canonical.wedge_bar_row", planted_wedge)
+    lam = f_to_weight(b, f)
+    tensor = r"g=\(-2, -1\) is not Bruhat-below \(1, 1\)"
+    wedge = r"g=\(-2, -2, 1\) is not Bruhat-below \(1, 1, 0\)"
+    queries = [
+        (lambda: bkl(b, f, CANONICAL, k=2), tensor),
+        (lambda: bkl(b, f, DUAL, k=2), tensor),
+        (lambda: tilting_character(b, lam, k=2), tensor),
+        (lambda: irreducible_character(b, lam, k=2), tensor),
+        (lambda: wedge_bkl(b, "V", 1, wf, CANONICAL, k=2), wedge),
+        (lambda: wedge_bkl(b, "V", 1, wf, DUAL, k=2), wedge),
+    ]
+    for query, match in queries:
         engine.cache_clear()
         try:
             # twice: the second call finds the column in the engine's memo
             for _ in range(2):
-                with pytest.raises(TriangularityError, match=r"g=\(-2, -1\) is not Bruhat-below \(1, 1\)"):
-                    bkl(b, f, kind, k=2)
+                with pytest.raises(TriangularityError, match=match):
+                    query()
         finally:
             engine.cache_clear()
 

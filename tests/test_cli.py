@@ -523,6 +523,31 @@ def test_failure_after_parsing_is_internal(capsys, monkeypatch):
     assert "usage error" not in err, err
 
 
+def test_char_refuses_a_row_entry_that_is_not_bruhat_below(capsys, monkeypatch):
+    # the row of (1, 1) on 01, k=2, gets q - q^-1 at (-2, -1): a larger key,
+    # not Bruhat-below, so only the descent check every query runs stops it
+    from bklkit import barinv, canonical
+    from bklkit.scalars import Z_QMQINV
+
+    take = barinv.BarContext.take
+
+    def planted(self, h):
+        row = take(self, h)
+        if h == (1, 1):
+            row[(-2, -1)] = Z_QMQINV
+        return row
+
+    # fresh engines, so no memoized column hides the patched method
+    monkeypatch.setattr(canonical, "engine", canonical.BklEngine)
+    monkeypatch.setattr(barinv.BarContext, "take", planted)
+    code, out, err = run(
+        capsys, "char", "--seq", "01", "--lambda=1,-1", "--kind", "tilt", "--window", "2"
+    )
+    assert code == 1 and out == "", (code, out, err)
+    assert err.startswith("internal failure: TriangularityError: ") and err.count("\n") == 1, err
+    assert "g=(-2, -1) is not Bruhat-below (1, 1)" in err, err
+
+
 def test_nonpositive_window_is_a_usage_error(capsys, tmp_path):
     for argv in (
         ("bkl", "--seq", "01", "--f", "0,0", "--cache-dir", str(tmp_path)),

@@ -1,7 +1,8 @@
 """Time one BKL column, or one window's tables, in a fresh process; print one JSON line.
 
 Column mode solves engine(Window(seq, k)).column(f, kind) once, without
-bkl's descent check and with no cache, and prints
+the descent check every query runs (BklEngine.query) and with no cache,
+and prints
 
     {"seq", "f", "k", "kind", "seconds", "peak_rss_mb", "entries",
      "lanes", "chain_memo", "sha256"}
