@@ -167,22 +167,34 @@ class BarContext:
     def row(self, f: tuple) -> dict:
         """bar(M_f) within the window, as a raw dict {g: Laurent}.
 
-        Each monomial g of the prefix row contributes its shift g + (c,)
-        and the chain terms of g under the move from c = f[-1]: scanned
-        by _chains, and for a full-length f kept in _chain_memo, so that
-        each (g, c) is scanned once per context.
+        f is validated once per request, here: at most one entry per slot,
+        each an int in [-k, k].  Its prefix rows are built by _row, which
+        trusts its index, so no prefix level checks again.
         """
         f = tuple(f)
         hit = self._rows.get(f)
         if hit is not None:
             return hit
-        p = len(f)
-        if p > len(self.bits):
+        if len(f) > len(self.bits):
             raise ValueError("index longer than the window")
-        if any(abs(v) > self.k for v in f):
+        k = self.k  # f is not (), whose row is always stored
+        if type(sum(f)) is not int or max(f) > k or min(f) < -k:
             raise ValueError(f"index {f} not in window")
+        return self._row(f)
+
+    def _row(self, f: tuple) -> dict:
+        """Build and store the row of a valid f that is not stored yet.
+
+        Each monomial g of the prefix row contributes its shift g + (c,)
+        and the chain terms of g under the move from c = f[-1]: scanned
+        by _chains, and for a full-length f kept in _chain_memo, so that
+        each (g, c) is scanned once per context.
+        """
+        p = len(f)
         prefix, c = f[:-1], f[-1]
-        base = self.row(prefix)
+        base = self._rows.get(prefix)
+        if base is None:
+            base = self._row(prefix)
         # every move d != c ends its keys in d, so the chain terms never meet
         # the shifted prefix row; terms that meet at one key sum through
         # _sums, once per pair of stored values, so every value in out is
@@ -289,23 +301,31 @@ class BarTable:
     def check_unitriangular(self):
         """Each row has diagonal 1 and every other entry at a lower index.
 
-        Every off-diagonal entry is compared in the Bruhat order through
-        SharpPack: each index carried by the table is packed once per call.
+        One walk over the rows.  Every entry is compared in the Bruhat
+        order through one SharpPack over the window's own range [-k, k],
+        which holds every entry of a windowed bar row, so an entry outside
+        the window fails its pack with a ValueError naming that range.
+        Each index is packed the first time the walk meets it, and the
+        order test is SharpPack's mask expression, inlined; it holds on
+        the diagonal, which is checked apart to be 1.
         """
-        rows = self.rows
-        indices = set(rows)
-        for row in rows.values():
-            indices.update(row)
-        values = [v for g in indices for v in g] or [0]
-        order = SharpPack(self.window.extended().b, min(values), max(values))
-        packed = {g: order.pack(g) for g in indices}
-        leq = order.leq
-        for f, row in rows.items():
+        k = self.window.k
+        order = SharpPack(self.window.extended().b, -k, k)
+        guard, mask, pack = order.guard, order.mask, order.pack
+        packed: dict = {}  # index -> its SharpPack, on first sight
+        get = packed.get
+        for f, row in self.rows.items():
             if row.get(f) != ONE:
                 raise AssertionError(f"diagonal of bar row {f} is not 1")
-            pf = packed[f]
+            pf = get(f)
+            if pf is None:
+                pf = packed[f] = pack(f)
+            top = guard + pf
             for g in row:
-                if g != f and not leq(packed[g], pf):
+                pg = get(g)
+                if pg is None:
+                    pg = packed[g] = pack(g)
+                if (top - pg) & mask != guard:
                     raise AssertionError(f"bar row {f} hits non-lower index {g}")
 
     def involution_defect(self):

@@ -187,7 +187,7 @@ class BklEngine:
             pg = packs.get(n)
             if pg is None:
                 pg = packs[n] = order.pack(g)
-            top = guard + pg  # SharpPack.leq(ph, pg), inlined
+            top = guard + pg  # SharpPack's mask test, inlined
             it = iter(pushes[n])
             for m, r, _ in zip(it, it, it):
                 ph = packs.get(m)

@@ -12,6 +12,7 @@ weight functions are plain int tuples.
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import getitem
 
 Weight = tuple  # tuple[int, ...]
 
@@ -116,11 +117,15 @@ class Window(Frozen):
         return Window(self.b.extend(0 if side == "V" else 1, kw), self.k)
 
     def valid_index(self, f: tuple) -> bool:
+        """f is an index of the window: one entry per slot, each an int in
+        [-k, k], and a strict wedge tail.  An entry that is not an int (a
+        float, a Fraction) makes sum(f) a float or a Fraction, so one test
+        of the sum's type refuses it."""
         wedge, k = self.wedge, self.k
         mn = len(self.b.bits)
         if len(f) != (mn + wedge[1] if wedge else mn):
             return False
-        if f and (max(f) > k or min(f) < -k):
+        if f and (type(sum(f)) is not int or max(f) > k or min(f) < -k):
             return False
         if wedge:
             side, kw = wedge
@@ -188,20 +193,25 @@ class SharpPack:
     suffix sum from hi on).  pack(g) = sum_i s_i T[i][g_i], with T[i][v]
     one unit in every lane with a >= v and j <= i.
 
-    leq(pack(g), pack(f)) is bruhat_leq(b, g, f): every lane difference
+    g <= f in the order of bruhat_leq iff D & MASK == GUARD, where D =
+    GUARD + pack(f) - pack(g), GUARD is the top bit of every lane and MASK
+    the guard bits and every bit of the j = 1 lanes: every lane difference
     d = sharp(f) - sharp(g) lies in [-p, p] (both sum the signs of the same
-    p - j + 1 slots, each with a subset of them), so D = GUARD + pack(f) -
-    pack(g), GUARD the top bit of every lane, holds 2^(W-1) + d in each lane
-    with no carry or borrow between lanes.  The top bit of a lane of D is
-    set iff d >= 0, and the lane equals 2^(W-1) iff d = 0, which the j = 1
-    lanes must satisfy.  So g <= f iff D & MASK == GUARD, MASK the guard
-    bits and every bit of the j = 1 lanes; the one caller that tests many
-    pairs, BklEngine.query, inlines that expression.  bruhat_leq stays the
-    reference scan and the path for single comparisons.
+    p - j + 1 slots, each with a subset of them), so D holds 2^(W-1) + d in
+    each lane with no carry or borrow between lanes.  The top bit of a lane
+    of D is set iff d >= 0, and the lane equals 2^(W-1) iff d = 0, which
+    the j = 1 lanes must satisfy.  There is no method for the test: its
+    callers, which test many pairs, inline that expression with guard and
+    mask read once (BklEngine.query, BarTable.check_unitriangular and
+    verify's triangularity suite).  bruhat_leq stays the reference scan and
+    the path for single comparisons.
 
     Lane (a, j) starts at bit W ((a - lo) p + j - 1).  The tables take
     O(p (hi - lo)) big-int adds: per i, the units of lanes j <= i at one
-    level, shifted to each level and summed from hi down.
+    level, shifted to each level and summed from hi down.  Each is a dict
+    {v: s_i T[i][v]} over lo <= v <= hi, so pack is one lookup per slot,
+    and an entry outside [lo, hi] fails its lookup, which pack reports as
+    a ValueError naming the packed range.
     """
 
     def __init__(self, b: SignedSeq, lo: int, hi: int):
@@ -213,28 +223,23 @@ class SharpPack:
         self.lo, self.hi, self.p = lo, hi, p
         self.guard = first * sum(1 << (width * j + width - 1) for j in range(p))
         self.mask = self.guard | ((1 << width) - 1) * first
-        self._tables = []
+        self._tables = []  # per slot i, {v: s_i T[i][v]} for lo <= v <= hi
         column = 0  # a unit in lanes (lo, j) for j <= i
         for i in range(p):
             column += 1 << (width * i)
-            acc, table = 0, [0]  # table[v - lo] for v = hi down to lo
+            acc, table = 0, [0]  # s_i T[i][v] for v = hi down to lo
             for a in range(hi - lo - 1, -1, -1):
                 acc += column << (stride * a)
-                table.append(acc)
-            table.reverse()
-            self._tables.append([-t for t in table] if bits[i] else table)
+                table.append(-acc if bits[i] else acc)
+            self._tables.append(dict(zip(range(hi, lo - 1, -1), table)))
 
     def pack(self, g: Weight) -> int:
         if len(g) != self.p:
             raise ValueError("length mismatch")
-        lo = self.lo
-        if g and (min(g) < lo or max(g) > self.hi):
-            raise ValueError(f"index {g} leaves the packed range [{lo}, {self.hi}]")
-        return sum(t[v - lo] for t, v in zip(self._tables, g))
-
-    def leq(self, pg: int, pf: int) -> bool:
-        """g <= f, given pg = pack(g) and pf = pack(f)."""
-        return (self.guard + pf - pg) & self.mask == self.guard
+        try:
+            return sum(map(getitem, self._tables, g))
+        except KeyError:
+            raise ValueError(f"index {g} leaves the packed range [{self.lo}, {self.hi}]") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -19,7 +20,7 @@ from bklkit.barinv import (
     bar_table,
     wedge_bar_row,
 )
-from bklkit.combinat import SignedSeq, Window
+from bklkit.combinat import SignedSeq, Window, bruhat_leq
 from bklkit.fock import _act_raw
 from bklkit.oracle import _nested, bar_row_rl, hecke_act, q_power
 from bklkit.scalars import Laurent, ONE, ZERO, Z_QMQINV, addmul
@@ -351,6 +352,28 @@ def test_check_unitriangular_rejects_a_non_lower_entry():
         corrupted(t, f, (1, 2), ONE).check_unitriangular()
     with pytest.raises(AssertionError, match="diagonal"):
         corrupted(t, (0, 0), (0, 0), Q_ONE_PLUS).check_unitriangular()
+    # (-3, -3) is Bruhat-below f = (-2, -2): a packed range widened to fit
+    # the entry would pass it, the window's own range [-2, 2] refuses it
+    assert f == (-2, -2) and bruhat_leq(t.window.b, (-3, -3), f)
+    with pytest.raises(ValueError, match=re.escape("leaves the packed range [-2, 2]")):
+        corrupted(t, f, (-3, -3), ONE).check_unitriangular()
+    # the first entry that is not below its row's index is reported, here
+    # the fifth of row (1, 1), which is not the table's first row
+    f = (1, 1)
+    bad = corrupted(corrupted(t, f, (2, 2), ONE), f, (1, 2), ONE)
+    assert list(bad.rows[f]) == [f, (-2, -2), (-1, -1), (0, 0), (2, 2), (1, 2)]
+    with pytest.raises(AssertionError, match=re.escape(f"bar row {f} hits non-lower index (2, 2)")):
+        bad.check_unitriangular()
+
+
+def test_bar_row_rejects_an_index_entry_that_is_not_an_int():
+    ctx = BarContext(Window(SignedSeq.parse("01"), 2))
+    for f in [(1.5, 0), (1.0, 0), (0, 2.0)]:
+        with pytest.raises(ValueError, match=re.escape(f"index {f} not in window")):
+            ctx.row(f)
+    with pytest.raises(ValueError, match=re.escape("index (3, 0) not in window")):
+        ctx.row((3, 0))
+    assert set(ctx._rows) == {()}
 
 
 def digest_windows():

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import product
 from pathlib import Path
 
@@ -292,6 +293,20 @@ def test_bkl_rejects_an_index_outside_the_k_box_before_solving():
     with pytest.raises(ValueError, match=r"index \(3, 0\) not in window"):
         bkl(b, (3, 0), DUAL, k=2)
     assert engine(Window(b, 2))._columns == {}
+
+
+def test_bkl_rejects_an_index_entry_that_is_not_an_int():
+    # (1.0, 0) equals (1, 0), but an id built from it cannot be shifted,
+    # so the window refuses it before the engine gives it one
+    engine.cache_clear()
+    b = SignedSeq.parse("01")
+    window = Window(b, 2)
+    assert window.valid_index((1, 0))
+    for f in [(1.0, 0), (0, 1.5)]:
+        assert not window.valid_index(f)
+        with pytest.raises(ValueError, match=re.escape(f"index {f} not in window")):
+            bkl(b, f, CANONICAL, k=2)
+    assert engine(window)._columns == {}
 
 
 def test_bkl_levels_start_at_1():

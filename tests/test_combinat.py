@@ -1,5 +1,6 @@
 """Index combinatorics: Bruhat order, down-moves, dictionaries."""
 import random
+import re
 from itertools import product
 
 import pytest
@@ -33,6 +34,12 @@ from bklkit.verify import (
 
 def brute_sharp(b, f, a, j):
     return sum(b.sign(i) for i in range(j, len(b) + 1) if f[i - 1] <= a)
+
+
+def leq(order: SharpPack, pg: int, pf: int) -> bool:
+    """g <= f, given pg = order.pack(g) and pf = order.pack(f): the mask
+    test that SharpPack's callers inline."""
+    return (order.guard + pf - pg) & order.mask == order.guard
 
 
 def down_moves(b: SignedSeq, f: tuple) -> set:
@@ -109,9 +116,30 @@ def test_sharp_pack_matches_bruhat_leq_on_every_small_window():
                 box = list(product(range(-k, k + 1), repeat=p))
                 packed = {g: order.pack(g) for g in box}
                 for f, g in product(box, repeat=2):
-                    assert order.leq(packed[g], packed[f]) == bruhat_leq(b, g, f), (b, g, f)
+                    assert leq(order, packed[g], packed[f]) == bruhat_leq(b, g, f), (b, g, f)
                     n += 1
     assert n == 133_724
+
+
+def test_sharp_pack_matches_bruhat_leq_over_ranges_of_every_sign():
+    # ranges above 0, below 0, of one value and across 0, at p <= 3: every
+    # ordered pair of each box, and a pack one step outside either end
+    n = 0
+    for lo, hi in ((1, 3), (-3, -1), (2, 2), (-2, -2), (0, 0), (-1, 2)):
+        for p in range(1, 4):
+            for bits in product((0, 1), repeat=p):
+                b = SignedSeq(bits)
+                order = SharpPack(b, lo, hi)
+                packed = {g: order.pack(g) for g in product(range(lo, hi + 1), repeat=p)}
+                for f, g in product(packed, repeat=2):
+                    assert leq(order, packed[g], packed[f]) == bruhat_leq(b, g, f), (b, lo, hi, g, f)
+                    n += 1
+                for i in range(p):
+                    for v in (lo - 1, hi + 1):
+                        g = (lo,) * i + (v,) + (hi,) * (p - i - 1)
+                        with pytest.raises(ValueError, match=re.escape(f"leaves the packed range [{lo}, {hi}]")):
+                            order.pack(g)
+    assert n == 46_214
 
 
 def test_sharp_pack_matches_bruhat_leq_on_random_pairs():
@@ -127,7 +155,7 @@ def test_sharp_pack_matches_bruhat_leq_on_random_pairs():
                 g = tuple(rng.sample(f, p)) if rng.random() < 0.5 else tuple(
                     rng.randint(lo, hi) for _ in range(p))
                 for x, y in ((g, f), (f, g)):
-                    assert order.leq(order.pack(x), order.pack(y)) == bruhat_leq(b, x, y), (b, x, y)
+                    assert leq(order, order.pack(x), order.pack(y)) == bruhat_leq(b, x, y), (b, x, y)
 
 
 def test_the_k_box_is_order_convex():
@@ -144,9 +172,9 @@ def test_the_k_box_is_order_convex():
                 packed = {g: order.pack(g) for g in product(range(-k - 2, k + 3), repeat=p)}
                 box = [pg for g, pg in packed.items() if max(map(abs, g)) <= k]
                 for g, pg in packed.items():
-                    if max(map(abs, g)) > k and any(order.leq(ph, pg) for ph in box):
+                    if max(map(abs, g)) > k and any(leq(order, ph, pg) for ph in box):
                         above += 1
-                        between += any(order.leq(pg, pf) for pf in box)
+                        between += any(leq(order, pg, pf) for pf in box)
     assert between == 0 and above == 200
 
 
@@ -160,7 +188,7 @@ def test_sharp_pack_rejects_bad_indices():
     with pytest.raises(ValueError, match="packed range"):
         order.pack((0, 3, 0))
     empty = SharpPack(SignedSeq(()), 0, 0)
-    assert empty.leq(empty.pack(()), empty.pack(()))
+    assert leq(empty, empty.pack(()), empty.pack(()))
 
 
 def test_bruhat_paper_example():
