@@ -24,9 +24,9 @@ prints
 each sha256 over that table's to_json() dumped with sorted keys, as the
 bench digests its tables.  The bar table is dropped before the BKL tables
 are built.  gc_full counts the cyclic collector's generation-2 (full)
-collections that finish inside each phase, seen through gc.callbacks: a
-phase that allocates many lasting objects can push a full collection
-into a later phase, and this shows where it fell.
+collections inside each phase, read from gc.get_stats(): a phase that
+allocates many lasting objects can push a full collection into a later
+phase, and this shows where it fell.
 
 In both modes peak_rss_mb is the process's ru_maxrss (import included),
 and chain_memo = {"pairs", "terms"} sizes the engine's BarContext memo of
@@ -93,21 +93,14 @@ def probe(seq: str, f: tuple, k: int, kind: str) -> dict:
 def probe_table(seq: str, k: int) -> dict:
     window = Window(SignedSeq.parse(seq), k)
     seconds, sha, full = {}, {}, {}
-    done = [0]  # full collections finished so far
-
-    def count(stage: str, info: dict) -> None:
-        if stage == "stop" and info["generation"] == 2:
-            done[0] += 1
 
     def timed(phase: str, fn, *args):
-        before = done[0]
+        before = gc.get_stats()[2]["collections"]
         start = time.perf_counter()
         out = fn(*args)
         seconds[phase] = round(time.perf_counter() - start, 3)
-        full[phase] = done[0] - before
+        full[phase] = gc.get_stats()[2]["collections"] - before
         return out
-
-    gc.callbacks.append(count)
 
     ctx = BarContext(window)
     bar = timed("rows", lambda: BarTable(window, {f: ctx.row(f) for f in window.basis()}))
@@ -119,7 +112,6 @@ def probe_table(seq: str, k: int) -> dict:
     del ctx, bar
     for kind in (CANONICAL, DUAL):
         sha[kind] = _sha256(timed(kind, BklTable.over_window, window, kind))
-    gc.callbacks.remove(count)
     return {
         "seq": seq,
         "k": k,
